@@ -60,7 +60,6 @@ from .attacks import (
     gwi_bwo_attack,
     gwi_bwo_scenario,
     poison_scenario,
-    poison_training_spec,
     spoof_scenario,
     spoof_substitution,
 )

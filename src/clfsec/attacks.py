@@ -15,7 +15,8 @@ Three generator families are implemented, one per application lane:
 * biometric spoofing by substituting an impostor's matching score with a
   targeted genuine score (:func:`spoof_substitution`),
 * anomaly-detector poisoning that injects the malicious testing pool into
-  the training distribution (:func:`poison_training_spec`).
+  the training distribution (:class:`PoisonGenerator`; the injected
+  fraction becomes the training prior through ``prior_override``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .data_model import (
     Dataset,
     DistributionSpec,
     EmpiricalPool,
-    GenerationMode,
     Label,
 )
 from .classifiers import LinearModel
@@ -55,7 +55,6 @@ __all__ = [
     "gwi_bwo_pool",
     "spoof_substitution",
     "build_spoof_pool",
-    "poison_training_spec",
     "check_scenario_consistency",
     "scenario_distribution_specs",
     "gwi_bwo_scenario",
@@ -313,35 +312,6 @@ def build_spoof_pool(
         feats,
         impostor_pool.label_codes.copy(),
         np.ones(len(impostor_pool), dtype=np.uint8),
-    )
-
-
-# ---------------------------------------------------------------------------
-# anomaly-detector poisoning
-# ---------------------------------------------------------------------------
-
-
-def poison_training_spec(
-    clean_training: Dataset, malicious_test_pool: Dataset, poison: PoisonSpec
-) -> DistributionSpec:
-    """Training distribution with the malicious testing pool injected.
-
-    The injected fraction becomes the malicious prior (every malicious
-    training sample is an attack sample); legitimate training samples keep
-    the clean empirical distribution.
-    """
-    if poison.p_max > 0.0 and len(malicious_test_pool) == 0:
-        raise ValueError("malicious test pool is empty but p_max > 0")
-    legit = clean_training.restrict(label=Label.LEGITIMATE)
-    components = {
-        (Label.LEGITIMATE, AttackFlag.CLEAN): EmpiricalPool(legit),
-        (Label.MALICIOUS, AttackFlag.ATTACKED): EmpiricalPool(malicious_test_pool),
-    }
-    return DistributionSpec(
-        prior_malicious=poison.p_max,
-        attack_prob={Label.MALICIOUS: 1.0, Label.LEGITIMATE: 0.0},
-        components=components,
-        generation_mode=GenerationMode.IID,
     )
 
 

@@ -240,9 +240,6 @@ def _cmd_evaluate(args) -> int:
         seed=seed,
         repetitions=int(eval_cfg.get("repetitions", 1)),
         jobs=int(eval_cfg.get("jobs", 1)),
-        train_size=cfg["data"].get("train_size"),
-        test_size=cfg["data"].get("test_size"),
-        scale_train_with_prior=bool(eval_cfg.get("scale_train_with_prior", True)),
     )
 
     report = EvaluationReport(
@@ -255,11 +252,10 @@ def _cmd_evaluate(args) -> int:
         seed=seed,
         started_at=started,
     )
-    for s in eval_cfg.get("collect_roc", []) or []:
-        d_tr, d_ts = folds.pairs[0]
-        report.roc_curves[f"strength_{float(s):g}"] = scenario_roc(
-            d_tr, d_ts, scenario, classifier, float(s), seed
-        )
+    roc_strengths = [float(s) for s in eval_cfg.get("collect_roc", []) or []]
+    if roc_strengths:
+        curves = scenario_roc(folds, scenario, classifier, roc_strengths, seed)
+        report.roc_curves = {f"strength_{s:g}": c for s, c in zip(roc_strengths, curves)}
     report.elapsed_seconds = time.perf_counter() - t0
 
     tag = f"{scenario.name}_{classifier.family}"

@@ -57,6 +57,9 @@ _GENERATORS = {
 
 _SECTIONS = ("data", "classifier", "attack", "evaluation", "output")
 
+# keys older configs may still carry; silently ignoring them would change the curve
+_REMOVED_KEYS = (("data", "train_size"), ("data", "test_size"), ("evaluation", "scale_train_with_prior"))
+
 
 class ConfigError(ValueError):
     """Configuration is malformed or inconsistent (CLI exit code 2)."""
@@ -99,6 +102,9 @@ def validate_config(cfg: Mapping) -> list[str]:
             problems.append(f"missing section {section!r}")
     if problems:
         return problems
+    for section, key in _REMOVED_KEYS:
+        if key in cfg[section]:
+            problems.append(f"{section}.{key} is no longer supported; remove it")
     try:
         resampling_from_config(cfg["data"])
     except ConfigError as exc:

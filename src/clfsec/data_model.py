@@ -430,7 +430,7 @@ def validate_spec(spec: DistributionSpec) -> list[str]:
 
 def _integration_error(density: Density) -> float:
     """Worst relative deviation of the marginal integrals from 1."""
-    trapezoid = getattr(np, "trapezoid", np.trapz)
+    trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
     worst = 0.0
     for pdf, lo, hi in density.marginal_pdfs():
         grid = np.linspace(lo, hi, _INTEGRATION_GRID)

@@ -4,7 +4,9 @@ A security evaluation measures a classifier's performance metric as a
 function of attack strength, averaged over resampled (train, test) pairs.
 Exploratory scenarios train once per fold and reuse the model across
 strength values (training data does not depend on the strength there);
-causative scenarios retrain at every strength.
+causative scenarios retrain at every strength.  ROC collection for reports
+runs the same per-item evaluation (fold 0, repetition 0), so each reported
+ROC comes from the model and testing set the sweep scored at that strength.
 
 ROC curves are exact step/trapezoid constructions: samples tied on the
 score move as one block, which makes every derived quantity invariant
@@ -334,6 +336,81 @@ def select_svm_c(
     return float(best_c)
 
 
+def _evaluate_item(
+    folds: FoldSet,
+    scenario: AttackScenario,
+    classifier_config: ClassifierConfig,
+    strengths: Sequence[float],
+    seed: int,
+    fi: int,
+    rep: int,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Scores and label codes of one (fold, repetition) at each strength.
+
+    Builds the training and testing sets that the scenario's data model
+    prescribes at each strength, trains and scores the testing set.  A
+    phase the attack leaves untouched uses the resampled set directly, so
+    the strength-0 entry coincides with classical performance evaluation.
+    Exploratory scenarios train once and reuse the model across strengths.
+    A poisoned training set is drawn at ``len(d_tr) / (1 - p)`` samples so
+    that its legitimate part keeps the clean fold's expected size.
+    """
+    d_tr, d_ts = folds.pairs[fi]
+    tr_seed = derive_subseed(seed, "fold", fi, "rep", rep, "tr")
+    ts_seed = derive_subseed(seed, "fold", fi, "rep", rep, "ts")
+    pools_seed = derive_subseed(seed, "fold", fi, "rep", rep, "pools")
+    train_seed = derive_subseed(seed, "fold", fi, "rep", rep, "train")
+
+    model = None
+    if not scenario.affects("train"):
+        try:
+            cfg = _resolve_classifier(classifier_config, d_tr, train_seed)
+            model = train_classifier(cfg, d_tr, seed=train_seed)
+        except Exception as exc:
+            raise SweepError(f"fold {fi}, rep {rep}, training: {exc}") from exc
+
+    out = []
+    for s in strengths:
+        try:
+            if scenario.affects("train"):
+                if _phase_clean_at(scenario, "train", s, d_tr):
+                    tr = d_tr
+                else:
+                    pools = build_scenario_pools(
+                        d_tr, d_ts, scenario, model=None, strength=s,
+                        seed=pools_seed, phases=("train",),
+                    )
+                    tr_spec, _ = scenario_distribution_specs(
+                        scenario, pools, s, d_tr, d_ts, phases=("train",)
+                    )
+                    n = len(d_tr)
+                    prior = scenario.prior_override(s)
+                    if prior is not None and prior < 1.0:
+                        n = int(round(n / (1.0 - prior)))
+                    tr = sample_dataset(tr_spec, n, tr_seed)
+                cfg = _resolve_classifier(classifier_config, tr, train_seed)
+                item_model = train_classifier(cfg, tr, seed=train_seed)
+            else:
+                item_model = model
+
+            if _phase_clean_at(scenario, "test", s, d_ts):
+                ts = d_ts
+            else:
+                pools = build_scenario_pools(
+                    d_tr, d_ts, scenario, model=item_model, strength=s,
+                    seed=pools_seed, phases=("test",),
+                )
+                _, ts_spec = scenario_distribution_specs(
+                    scenario, pools, s, d_tr, d_ts, phases=("test",)
+                )
+                ts = sample_dataset(ts_spec, len(d_ts), ts_seed)
+
+            out.append((decision_scores(item_model, ts.features), ts.label_codes))
+        except Exception as exc:
+            raise SweepError(f"fold {fi}, rep {rep}, strength {s:g}: {exc}") from exc
+    return out
+
+
 def security_sweep(
     folds: FoldSet,
     scenario: AttackScenario,
@@ -343,17 +420,11 @@ def security_sweep(
     seed: int,
     repetitions: int = 1,
     jobs: int = 1,
-    train_size: int | None = None,
-    test_size: int | None = None,
-    scale_train_with_prior: bool = True,
 ) -> SecurityCurve:
     """Measure the metric at each attack strength, averaged over folds.
 
-    For every (fold, repetition) work item: build the training and testing
-    sets that the scenario's data model prescribes at each strength, train,
-    score the testing set and compute the metric.  A strength at which the
-    attack is a no-op evaluates on the resampled sets directly, so the
-    strength-0 entry coincides with classical performance evaluation.
+    Every (fold, repetition) work item is evaluated at each strength by
+    :func:`_evaluate_item`, the same path :func:`scenario_roc` uses.
 
     Work items are independent; ``jobs`` bounds concurrency and never
     changes the result (values land in a preallocated array and are
@@ -380,59 +451,10 @@ def security_sweep(
 
     def run_item(item_index: int) -> None:
         fi, rep = items[item_index]
-        d_tr, d_ts = folds.pairs[fi]
-        n_tr = train_size if train_size is not None else len(d_tr)
-        n_ts = test_size if test_size is not None else len(d_ts)
-        tr_seed = derive_subseed(seed, "fold", fi, "rep", rep, "tr")
-        ts_seed = derive_subseed(seed, "fold", fi, "rep", rep, "ts")
-        pools_seed = derive_subseed(seed, "fold", fi, "rep", rep, "pools")
-        train_seed = derive_subseed(seed, "fold", fi, "rep", rep, "train")
-
-        model = None
-        if not scenario.affects("train"):
+        scored = _evaluate_item(folds, scenario, classifier_config, strengths, seed, fi, rep)
+        for si, (s, (scores, codes)) in enumerate(zip(strengths, scored)):
             try:
-                cfg = _resolve_classifier(classifier_config, d_tr, train_seed)
-                model = train_classifier(cfg, d_tr, seed=train_seed)
-            except Exception as exc:
-                raise SweepError(f"fold {fi}, rep {rep}, training: {exc}") from exc
-
-        for si, s in enumerate(strengths):
-            try:
-                if scenario.affects("train"):
-                    if _phase_clean_at(scenario, "train", s, d_tr):
-                        tr = d_tr
-                    else:
-                        pools = build_scenario_pools(
-                            d_tr, d_ts, scenario, model=None, strength=s,
-                            seed=pools_seed, phases=("train",),
-                        )
-                        tr_spec, _ = scenario_distribution_specs(
-                            scenario, pools, s, d_tr, d_ts, phases=("train",)
-                        )
-                        n = n_tr
-                        prior = scenario.prior_override(s)
-                        if scale_train_with_prior and prior is not None and prior < 1.0:
-                            n = int(round(n_tr / (1.0 - prior)))
-                        tr = sample_dataset(tr_spec, n, tr_seed)
-                    cfg = _resolve_classifier(classifier_config, tr, train_seed)
-                    item_model = train_classifier(cfg, tr, seed=train_seed)
-                else:
-                    item_model = model
-
-                if _phase_clean_at(scenario, "test", s, d_ts):
-                    ts = d_ts
-                else:
-                    pools = build_scenario_pools(
-                        d_tr, d_ts, scenario, model=item_model, strength=s,
-                        seed=pools_seed, phases=("test",),
-                    )
-                    _, ts_spec = scenario_distribution_specs(
-                        scenario, pools, s, d_tr, d_ts, phases=("test",)
-                    )
-                    ts = sample_dataset(ts_spec, n_ts, ts_seed)
-
-                scores = decision_scores(item_model, ts.features)
-                values[item_index, si] = metric.compute(scores, ts.label_codes)
+                values[item_index, si] = metric.compute(scores, codes)
             except Exception as exc:
                 raise SweepError(f"fold {fi}, rep {rep}, strength {s:g}: {exc}") from exc
 
@@ -455,27 +477,16 @@ def security_sweep(
 
 
 def scenario_roc(
-    d_tr: Dataset,
-    d_ts: Dataset,
+    folds: FoldSet,
     scenario: AttackScenario,
     classifier_config: ClassifierConfig,
-    strength: float,
+    strengths: Sequence[float],
     seed: int,
-) -> RocCurve:
-    """ROC of one fold at one strength (used for plot-ready report data)."""
-    train_seed = derive_subseed(seed, "fold", 0, "rep", 0, "train")
-    ts_seed = derive_subseed(seed, "fold", 0, "rep", 0, "ts")
-    pools_seed = derive_subseed(seed, "fold", 0, "rep", 0, "pools")
-    cfg = _resolve_classifier(classifier_config, d_tr, train_seed)
-    model = train_classifier(cfg, d_tr, seed=train_seed)
-    if _phase_clean_at(scenario, "test", strength, d_ts):
-        ts = d_ts
-    else:
-        pools = build_scenario_pools(
-            d_tr, d_ts, scenario, model=model, strength=strength, seed=pools_seed, phases=("test",)
-        )
-        _, ts_spec = scenario_distribution_specs(
-            scenario, pools, strength, d_tr, d_ts, phases=("test",)
-        )
-        ts = sample_dataset(ts_spec, len(d_ts), ts_seed)
-    return roc(decision_scores(model, ts.features), ts.label_codes)
+) -> list[RocCurve]:
+    """ROC of fold 0 / repetition 0 at each strength (plot-ready report data).
+
+    Runs the sweep's own work item, so each curve comes from the model and
+    testing set that produced the sweep's value at that strength.
+    """
+    scored = _evaluate_item(folds, scenario, classifier_config, strengths, seed, 0, 0)
+    return [roc(scores, codes) for scores, codes in scored]

@@ -18,7 +18,7 @@ from clfsec.attacks import (
     gwi_bwo_pool,
     gwi_bwo_scenario,
     poison_scenario,
-    poison_training_spec,
+    scenario_distribution_specs,
     spoof_scenario,
     spoof_substitution,
 )
@@ -26,6 +26,7 @@ from clfsec.classifiers import LinearModel
 from clfsec.data_model import (
     AttackFlag,
     Dataset,
+    DistributionSpec,
     EmpiricalPool,
     Label,
     build_scenario_pools,
@@ -166,31 +167,38 @@ class TestSpoofing:
 
 
 class TestPoisoning:
-    def _clean_legit(self, rng, n=50):
-        return Dataset.from_arrays(rng.normal(size=(n, 2)), [L] * n)
+    """The causative path: PoisonGenerator pools turned into the training spec."""
+
+    def _sets(self, rng, mal_vectors, n=50):
+        d_tr = Dataset.from_arrays(rng.normal(size=(n, 2)), [L] * n)
+        d_ts = Dataset.from_arrays(
+            np.vstack([rng.normal(size=(10, 2)), mal_vectors]), [L] * 10 + [M] * len(mal_vectors)
+        )
+        return d_tr, d_ts
+
+    def _train_spec(self, d_tr, d_ts, p):
+        scen = poison_scenario()
+        pools = build_scenario_pools(d_tr, d_ts, scen, strength=p, seed=0, phases=("train",))
+        spec, _ = scenario_distribution_specs(scen, pools, p, d_tr, d_ts, phases=("train",))
+        return spec
 
     def test_zero_poison_yields_pure_legitimate(self, rng):
-        clean = self._clean_legit(rng)
-        spec = poison_training_spec(clean, Dataset.empty(2), PoisonSpec(0.0))
-        out = sample_dataset(spec, 200, seed=1)
+        d_tr, d_ts = self._sets(rng, np.empty((0, 2)))
+        out = sample_dataset(self._train_spec(d_tr, d_ts, 0.0), 200, seed=1)
         assert np.all(out.label_codes == 0)
 
     def test_half_poison_expected_count(self, rng):
-        clean = self._clean_legit(rng, 100)
-        mal = Dataset.from_arrays(rng.normal(loc=3.0, size=(30, 2)), [M] * 30)
-        spec = poison_training_spec(clean, mal, PoisonSpec(0.5))
+        d_tr, d_ts = self._sets(rng, rng.normal(loc=3.0, size=(30, 2)), n=100)
         n = 40_000
-        out = sample_dataset(spec, n, seed=2)
+        out = sample_dataset(self._train_spec(d_tr, d_ts, 0.5), n, seed=2)
         count = int(out.label_codes.sum())
         sigma = np.sqrt(n * 0.25)
         assert abs(count - 20_000) <= 4 * sigma
 
     def test_attack_samples_come_from_pool(self, rng):
-        clean = self._clean_legit(rng)
         vectors = rng.normal(size=(3, 2))
-        mal = Dataset.from_arrays(vectors, [M] * 3)
-        spec = poison_training_spec(clean, mal, PoisonSpec(0.1))
-        out = sample_dataset(spec, 1000, seed=3)
+        d_tr, d_ts = self._sets(rng, vectors)
+        out = sample_dataset(self._train_spec(d_tr, d_ts, 0.1), 1000, seed=3)
         pool_rows = {tuple(r) for r in vectors}
         attacked = out.features[out.flag_codes == 1]
         assert len(attacked) > 0
@@ -203,20 +211,18 @@ class TestPoisoning:
             PoisonSpec(0.6)
 
     def test_empty_pool_with_positive_p(self, rng):
-        with pytest.raises(ValueError, match="empty"):
-            poison_training_spec(self._clean_legit(rng), Dataset.empty(2), PoisonSpec(0.2))
+        d_tr, d_ts = self._sets(rng, np.empty((0, 2)))
+        with pytest.raises(ValueError, match=r"missing component for \(M, T\) with mass 0.2"):
+            sample_dataset(self._train_spec(d_tr, d_ts, 0.2), 100, seed=4)
 
     def test_zero_poison_identical_to_clean_spec(self, rng):
-        clean = self._clean_legit(rng)
-        mal = Dataset.from_arrays(rng.normal(size=(5, 2)), [M] * 5)
-        poisoned0 = poison_training_spec(clean, mal, PoisonSpec(0.0))
-        from clfsec.data_model import DistributionSpec
-
+        d_tr, d_ts = self._sets(rng, rng.normal(size=(5, 2)))
         clean_spec = DistributionSpec(
             prior_malicious=0.0,
             attack_prob={L: 0.0, M: 0.0},
-            components={(L, AttackFlag.CLEAN): EmpiricalPool(clean.restrict(label=L))},
+            components={(L, AttackFlag.CLEAN): EmpiricalPool(d_tr.restrict(label=L))},
         )
+        poisoned0 = self._train_spec(d_tr, d_ts, 0.0)
         assert sample_dataset(poisoned0, 300, seed=42) == sample_dataset(clean_spec, 300, seed=42)
 
 

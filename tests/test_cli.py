@@ -241,6 +241,21 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(path)]) == 2
         assert "version" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [("data", "train_size"), ("data", "test_size"), ("evaluation", "scale_train_with_prior")],
+    )
+    def test_removed_key_exits_2(self, section, key, tmp_path, capsys):
+        cfg = canned_config("ids_poison")
+        cfg[section][key] = 100
+        cfg["output"]["directory"] = str(tmp_path / "o")
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        for command in ("validate", "evaluate"):
+            assert main([command, "--config", str(path)]) == 2
+            assert f"{section}.{key} is no longer supported" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_exits_2(self):
         assert main(["validate", "--config", "/nonexistent/x.yaml"]) == 2
 

@@ -84,9 +84,10 @@ class OneClassModel:
         return self.support_vectors.shape[1]
 
     def kernel_sum(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        d2 = ((x[:, None, :] - self.support_vectors[None, :, :]) ** 2).sum(axis=2)
-        return np.exp(-self.kernel_gamma * d2) @ self.dual_coefficients
+        """sum_i alpha_i k(x_i, x) for each row of ``x``."""
+        # not rbf_kernel: bench/trace_child.py counts kernel work at both names
+        K = _rbf_blocks(x, self.support_vectors, self.kernel_gamma)
+        return K @ self.dual_coefficients
 
 
 @dataclass(frozen=True)
@@ -125,12 +126,20 @@ TrainedModel = Union[LinearModel, OneClassModel, FusionModel]
 # ---------------------------------------------------------------------------
 
 
-class _ColumnCache:
-    """Bounded memo of kernel columns, keyed by training index."""
+# bytes of computed columns one _ColumnCache may hold
+_COLUMN_CACHE_BYTES = 128 << 20
 
-    def __init__(self, compute: Callable[[int], np.ndarray], max_entries: int = 4096):
+
+class _ColumnCache:
+    """Memo of computed kernel columns of length ``n``, keyed by training index.
+
+    Holds at most _COLUMN_CACHE_BYTES of columns (and at least 2) and evicts
+    the oldest first.
+    """
+
+    def __init__(self, compute: Callable[[int], np.ndarray], n: int):
         self._compute = compute
-        self._max = max_entries
+        self._max = max(2, _COLUMN_CACHE_BYTES // (8 * n))
         self._cols: dict[int, np.ndarray] = {}
 
     def __getitem__(self, i: int) -> np.ndarray:
@@ -148,7 +157,7 @@ def _smo_pair_loop(
     alpha: np.ndarray,
     upper: float,
     y: np.ndarray,
-    columns: _ColumnCache,
+    columns: Union[np.ndarray, _ColumnCache],
     diag: np.ndarray,
     eps: float,
     max_iter: int,
@@ -160,9 +169,10 @@ def _smo_pair_loop(
     objective along the (i, j) direction, which avoids the slow zigzag of
     plain maximal-violating-pair selection on ill-conditioned kernels.
 
-    ``grad`` holds the current gradient Qa + p and is updated in place, as
-    is ``alpha``.  Returns the maximal-violating-pair gap at exit, which is
-    <= eps unless the update budget ran out first.
+    ``columns[i]`` is column i of Q, from a precomputed matrix or a
+    :class:`_ColumnCache`.  ``grad`` holds the current gradient Qa + p and is
+    updated in place, as is ``alpha``.  Returns the maximal-violating-pair
+    gap at exit, which is <= eps unless the update budget ran out first.
     """
     gap = np.inf
     for _ in range(max_iter):
@@ -211,7 +221,7 @@ def train_linear_svm(
     y = train.signed_labels()
     n = len(train)
 
-    columns = _ColumnCache(lambda i: X @ X[i])
+    columns = _ColumnCache(lambda i: X @ X[i], n)
     diag = np.einsum("ij,ij->i", X, X)
     alpha = np.zeros(n)
     grad = -np.ones(n)  # Q alpha - 1 at alpha = 0
@@ -318,12 +328,44 @@ def train_logistic_regression(
 # ---------------------------------------------------------------------------
 
 
+# element cap on the (rows, m, d) difference temporary of one kernel block
+_KERNEL_BLOCK_ELEMENTS = 1 << 20
+# largest training set whose full Gram matrix is precomputed (128 MB)
+_GRAM_MAX_ROWS = 4096
+
+
+def _rbf_blocks(u: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma ||u_i - v_j||^2) for all row pairs, built in row blocks of u.
+
+    Every entry is the plain broadcast formula: the squared differences are
+    summed along the contiguous feature axis, which numpy reduces for each
+    output entry on its own, so the result is bit-identical to building the
+    whole (n, m, d) difference tensor at once.  The only allocations are the
+    (n, m) result and one block buffer of at most _KERNEL_BLOCK_ELEMENTS
+    (one row when m * d alone exceeds it), reused for every block.
+    """
+    u = np.atleast_2d(np.asarray(u, dtype=np.float64))
+    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    n = u.shape[0]
+    out = np.empty((n, v.shape[0]))
+    rows = max(1, min(n, _KERNEL_BLOCK_ELEMENTS // max(1, v.size)))
+    buf = np.empty((rows,) + v.shape)
+    for lo in range(0, n, rows):
+        diff = buf[: min(rows, n - lo)]
+        np.subtract(u[lo : lo + rows, None, :], v, out=diff)
+        np.square(diff, out=diff)
+        diff.sum(axis=2, out=out[lo : lo + rows])
+    out *= -gamma
+    return np.exp(out, out=out)
+
+
 def rbf_kernel(u: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:
-    """k(u, v) = exp(-gamma ||u - v||^2), row-wise between two matrices."""
-    u = np.atleast_2d(u)
-    v = np.atleast_2d(v)
-    d2 = ((u[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
-    return np.exp(-gamma * d2)
+    """k(u, v) = exp(-gamma ||u - v||^2), row-wise between two matrices.
+
+    Exact (no ||u||^2 + ||v||^2 - 2 u.v expansion) and built in row blocks,
+    so memory beyond the (n, m) result stays bounded for any n, m, d.
+    """
+    return _rbf_blocks(u, v, gamma)
 
 
 def train_one_class_svm(
@@ -342,11 +384,10 @@ def train_one_class_svm(
     X = train.features
     upper = 1.0 / (nu * n)
 
-    if n <= 4096:
-        gram = rbf_kernel(X, X, gamma)
-        columns = _ColumnCache(lambda i: gram[i], max_entries=n)
+    if n <= _GRAM_MAX_ROWS:
+        columns = rbf_kernel(X, X, gamma)
     else:
-        columns = _ColumnCache(lambda i: np.exp(-gamma * ((X - X[i]) ** 2).sum(axis=1)))
+        columns = _ColumnCache(lambda i: _rbf_blocks(X[i], X, gamma)[0], n)
     diag = np.ones(n)
     ones = np.ones(n)
 

@@ -1,13 +1,16 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from clfsec import classifiers
 from clfsec.classifiers import (
     ClassifierConfig,
     FusionModel,
     LinearModel,
+    OneClassModel,
     decision_score,
     decision_scores,
     fit_gamma_mle,
@@ -194,6 +197,84 @@ class TestOneClassSvm:
         assert np.allclose(np.diag(K), 1.0)
         assert np.allclose(K, K.T)
         assert np.linalg.eigvalsh(K).min() >= -1e-10
+
+
+def broadcast_rbf(u, v, gamma):
+    """Reference: the whole (n, m, d) difference tensor at once."""
+    u, v = np.atleast_2d(u), np.atleast_2d(v)
+    return np.exp(-gamma * ((u[:, None, :] - v[None, :, :]) ** 2).sum(axis=2))
+
+
+class TestRbfKernel:
+    @pytest.mark.parametrize(
+        "n, m, d, rows",
+        [
+            (11, 250, 1000, 4),  # last block partial
+            (3, 1100, 1000, 1),  # m * d above the block budget
+            (1, 50, 7, 1),  # single row
+        ],
+    )
+    def test_bit_identical_to_broadcast(self, rng, n, m, d, rows):
+        assert max(1, min(n, classifiers._KERNEL_BLOCK_ELEMENTS // (m * d))) == rows
+        U = rng.normal(size=(n, d)) * 3.0
+        V = rng.normal(size=(m, d))
+        for gamma in (0.5, 1e-3):
+            assert np.array_equal(rbf_kernel(U, V, gamma), broadcast_rbf(U, V, gamma))
+        assert np.array_equal(rbf_kernel(U[0], V, 0.5), broadcast_rbf(U[0], V, 0.5))
+
+    def test_kernel_sum_bit_identical(self, rng):
+        sv = rng.normal(size=(300, 1000))
+        alpha = rng.random(300)
+        model = OneClassModel(
+            support_vectors=sv, dual_coefficients=alpha / alpha.sum(), offset=0.5, kernel_gamma=1e-3, nu=0.1
+        )
+        x = rng.normal(size=(9, 1000))
+        assert np.array_equal(model.kernel_sum(x), broadcast_rbf(x, sv, 1e-3) @ model.dual_coefficients)
+
+    def test_lazy_column_matches_gram_row(self, rng, monkeypatch):
+        X = rng.normal(size=(60, 5))
+        gram = rbf_kernel(X, X, 0.5)
+        for i in (0, 31, 59):
+            col = classifiers._rbf_blocks(X[i], X, 0.5)[0]
+            assert np.array_equal(col, gram[i])
+            assert np.array_equal(col, np.exp(-0.5 * ((X - X[i]) ** 2).sum(axis=1)))
+        ds = Dataset.from_arrays(X, [L] * 60)
+        full = train_one_class_svm(ds, nu=0.1, gamma=0.5)
+        monkeypatch.setattr(classifiers, "_GRAM_MAX_ROWS", 0)
+        lazy = train_one_class_svm(ds, nu=0.1, gamma=0.5)
+        assert np.array_equal(lazy.dual_coefficients, full.dual_coefficients)
+        assert lazy.offset == full.offset
+
+    def test_peak_memory_bounded(self, rng):
+        X = rng.normal(size=(600, 128))
+        out_bytes = 600 * 600 * 8
+        tracemalloc.start()
+        try:
+            K = rbf_kernel(X, X, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert K.nbytes == out_bytes
+        assert peak < 3 * out_bytes + 8 * classifiers._KERNEL_BLOCK_ELEMENTS
+
+    def test_column_cache_capacity_in_bytes(self):
+        computed = []
+
+        def compute(i):
+            computed.append(i)
+            return np.zeros(1)
+
+        # one column fills the byte budget: the cache still keeps two
+        cache = classifiers._ColumnCache(compute, classifiers._COLUMN_CACHE_BYTES // 8)
+        for i in (0, 1, 0, 1, 2, 1, 0):
+            cache[i]
+        assert computed == [0, 1, 2, 0]
+        # 3,000 training rows (the spam lane) fit whole
+        cache = classifiers._ColumnCache(compute, 3000)
+        computed.clear()
+        for i in list(range(3000)) * 2:
+            cache[i]
+        assert len(computed) == 3000
 
 
 class TestGammaFusion:

@@ -50,7 +50,6 @@ __all__ = [
     "StrengthParam",
     "AttackScenario",
     "AttackBudget",
-    "PoisonSpec",
     "gwi_bwo_attack",
     "gwi_bwo_pool",
     "spoof_substitution",
@@ -190,19 +189,6 @@ class AttackBudget:
     def __post_init__(self):
         if self.n_max < 0:
             raise ValueError("n_max must be nonnegative")
-
-
-@dataclass(frozen=True)
-class PoisonSpec:
-    """Fraction of the training set the adversary injects."""
-
-    p_max: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_max <= 0.5:
-            raise ValueError(
-                f"p_max must lie in [0, 0.5] (adversary cannot control a majority), got {self.p_max}"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ thresholding it at 0 reproduces each family's native decision rule.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Union
@@ -38,13 +37,9 @@ __all__ = [
     "rbf_kernel",
     "fit_gamma_mle",
     "fit_gamma_product",
-    "llr_decide",
-    "llr_score",
     "decision_score",
     "decision_scores",
     "train_classifier",
-    "save_model",
-    "load_model",
 ]
 
 Score = float
@@ -481,11 +476,6 @@ def fit_gamma_product(scores: Dataset, threshold: float = 1.0) -> FusionModel:
     return FusionModel(shapes=shapes, scales=scales, threshold=threshold)
 
 
-def llr_score(model: FusionModel, x: np.ndarray) -> Score:
-    """-log of the genuine/impostor likelihood ratio (larger = more malicious)."""
-    return float(_llr_scores(model, np.atleast_2d(x))[0])
-
-
 def _llr_scores(model: FusionModel, X: np.ndarray) -> np.ndarray:
     log_l = model.class_log_density(Label.LEGITIMATE, X)
     log_m = model.class_log_density(Label.MALICIOUS, X)
@@ -500,14 +490,6 @@ def _llr_scores(model: FusionModel, X: np.ndarray) -> np.ndarray:
         )
         out = np.where(both_zero, np.inf, out)
     return out
-
-
-def llr_decide(model: FusionModel, x: np.ndarray) -> Label:
-    """Legitimate iff the likelihood ratio is >= the threshold (inclusive)."""
-    s = llr_score(model, x)  # -log ratio; ratio >= t  <=>  s <= -log t
-    if np.isposinf(s):
-        return Label.MALICIOUS
-    return Label.LEGITIMATE if s <= -np.log(model.threshold) else Label.MALICIOUS
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +517,7 @@ def decision_score(model: TrainedModel, x: np.ndarray) -> Score:
 
 
 # ---------------------------------------------------------------------------
-# training dispatch and serialization
+# training dispatch
 # ---------------------------------------------------------------------------
 
 
@@ -570,66 +552,3 @@ def train_classifier(config: ClassifierConfig, train: Dataset, seed: int = 0) ->
         return fit_gamma_product(train, threshold=p.get("threshold", 1.0))
     raise ValueError(f"unknown classifier family {config.family!r}")
 
-
-_MODEL_FORMAT = "clfsec-model"
-_MODEL_VERSION = 1
-
-
-def _model_payload(model: TrainedModel) -> dict:
-    if isinstance(model, LinearModel):
-        return {
-            "family": "linear",
-            "dimension": model.dimension,
-            "weights": model.weights.tolist(),
-            "bias": model.bias,
-        }
-    if isinstance(model, OneClassModel):
-        return {
-            "family": "one_class_rbf",
-            "dimension": model.dimension,
-            "support_vectors": model.support_vectors.tolist(),
-            "dual_coefficients": model.dual_coefficients.tolist(),
-            "offset": model.offset,
-            "kernel_gamma": model.kernel_gamma,
-            "nu": model.nu,
-        }
-    if isinstance(model, FusionModel):
-        return {
-            "family": "gamma_fusion",
-            "dimension": 2,
-            "shapes": model.shapes.tolist(),
-            "scales": model.scales.tolist(),
-            "threshold": model.threshold,
-        }
-    raise TypeError(f"cannot serialize {type(model).__name__}")
-
-
-def save_model(model: TrainedModel, path) -> None:
-    doc = {"format": _MODEL_FORMAT, "version": _MODEL_VERSION}
-    doc.update(_model_payload(model))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def load_model(path) -> TrainedModel:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != _MODEL_FORMAT or doc.get("version") != _MODEL_VERSION:
-        raise ValueError(f"unrecognized model document in {path}")
-    family = doc["family"]
-    if family == "linear":
-        return LinearModel(np.array(doc["weights"]), doc["bias"])
-    if family == "one_class_rbf":
-        return OneClassModel(
-            support_vectors=np.array(doc["support_vectors"]),
-            dual_coefficients=np.array(doc["dual_coefficients"]),
-            offset=doc["offset"],
-            kernel_gamma=doc["kernel_gamma"],
-            nu=doc["nu"],
-        )
-    if family == "gamma_fusion":
-        return FusionModel(
-            shapes=np.array(doc["shapes"]), scales=np.array(doc["scales"]), threshold=doc["threshold"]
-        )
-    raise ValueError(f"unknown model family {family!r}")

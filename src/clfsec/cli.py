@@ -156,10 +156,17 @@ def _ingest(cfg: dict, base_dir: Path) -> tuple[Dataset, dict]:
 
 
 def _load_design_set(cfg: dict, base_dir: Path) -> Dataset:
-    """Use the prepared dataset when present, otherwise ingest in memory."""
+    """Load the prepared dataset if there is one (it must match the data section), else ingest."""
     out_dir = Path(cfg["output"].get("directory", "out"))
     prepared = out_dir / "dataset.csv"
     if prepared.is_file():
+        manifest_path = out_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8")) if manifest_path.is_file() else {}
+        if manifest.get("config", {}).get("data") != cfg["data"]:
+            raise ConfigError(
+                f"{prepared} was not prepared from this config's data section "
+                "(manifest.json missing or different); rerun prepare or use another output directory"
+            )
         return load_tabular(prepared)
     dataset, _ = _ingest(cfg, base_dir)
     return dataset

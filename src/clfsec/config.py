@@ -36,7 +36,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "ConfigError",
     "load_config",
-    "dump_config",
     "canned_config",
     "canned_scenario_names",
     "validate_config",
@@ -71,10 +70,6 @@ def load_config(path: str | Path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} does not contain a mapping")
     return doc
-
-
-def dump_config(cfg: Mapping) -> str:
-    return yaml.safe_dump(dict(cfg), sort_keys=False)
 
 
 def canned_scenario_names() -> list[str]:

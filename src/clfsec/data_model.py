@@ -194,15 +194,9 @@ class Dataset:
 
     # -- views -------------------------------------------------------------
 
-    def labels(self) -> list[Label]:
-        return [_LABELS[c] for c in self.label_codes]
-
     def signed_labels(self) -> np.ndarray:
         """+1 for malicious, -1 for legitimate."""
         return np.where(self.label_codes == 1, 1.0, -1.0)
-
-    def label_mask(self, label: Label) -> np.ndarray:
-        return self.label_codes == _LABEL_CODE[label]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.features[indices], self.label_codes[indices], self.flag_codes[indices])

@@ -64,15 +64,6 @@ class RocCurve:
     tp: np.ndarray
     thresholds: np.ndarray
 
-    # biometric aliases
-    @property
-    def far(self) -> np.ndarray:
-        return self.fp
-
-    @property
-    def gar(self) -> np.ndarray:
-        return self.tp
-
 
 class FarAtGarResult(NamedTuple):
     far: float
@@ -294,7 +285,7 @@ def _phase_clean_at(scenario: AttackScenario, phase: str, strength: float, sourc
         scenario.attacked_fraction(phase, lab, strength)
         for lab in (Label.LEGITIMATE, Label.MALICIOUS)
     ]
-    generator_noop = getattr(scenario.strategy.generator, "is_noop", lambda s: False)(strength)
+    generator_noop = scenario.strategy.generator.is_noop(strength)
     if not (all(f == 0.0 for f in fractions) or generator_noop):
         return False
     if phase == "train":

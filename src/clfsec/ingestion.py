@@ -32,7 +32,6 @@ from .data_model import Dataset, Label
 
 __all__ = [
     "Vocabulary",
-    "ScorePair",
     "ScoreTable",
     "MinMaxBounds",
     "tokenize_text",
@@ -266,32 +265,11 @@ class MinMaxBounds:
 
 
 @dataclass(frozen=True)
-class ScorePair:
-    fingerprint: float
-    face: float
-    user_id: str
-    claimed_id: str
-    label: Label
-
-
-@dataclass(frozen=True)
 class ScoreTable:
     dataset: Dataset
     bounds: MinMaxBounds
     user_ids: tuple[str, ...]
     claimed_ids: tuple[str, ...]
-
-    def pairs(self) -> list[ScorePair]:
-        return [
-            ScorePair(
-                fingerprint=float(s.features[0]),
-                face=float(s.features[1]),
-                user_id=self.user_ids[i],
-                claimed_id=self.claimed_ids[i],
-                label=s.label,
-            )
-            for i, s in enumerate(self.dataset)
-        ]
 
 
 def load_scores(path: str | Path) -> ScoreTable:

@@ -16,14 +16,7 @@ __all__ = [
     "synthetic_spam_corpus",
     "synthetic_score_table",
     "synthetic_ids_traffic",
-    "SPAM_DEFAULTS",
-    "SCORE_DEFAULTS",
-    "IDS_DEFAULTS",
 ]
-
-SPAM_DEFAULTS = {"n": 2000, "d": 200}
-SCORE_DEFAULTS = {"n_genuine": 400, "n_impostor": 1600}
-IDS_DEFAULTS = {"n_train": 300, "n_test_legit": 300, "n_test_malicious": 100}
 
 # score densities: genuine matchers score high, impostors low, the
 # fingerprint matcher separating more sharply than the face matcher

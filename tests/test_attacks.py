@@ -8,7 +8,6 @@ from clfsec.attacks import (
     Capability,
     Influence,
     Knowledge,
-    PoisonSpec,
     Strategy,
     Trait,
     Violation,
@@ -205,10 +204,6 @@ class TestPoisoning:
         for row in attacked:
             assert tuple(row) in pool_rows
         assert np.all(out.label_codes[out.flag_codes == 1] == 1)
-
-    def test_p_max_bound(self):
-        with pytest.raises(ValueError, match="0.5"):
-            PoisonSpec(0.6)
 
     def test_empty_pool_with_positive_p(self, rng):
         d_tr, d_ts = self._sets(rng, np.empty((0, 2)))

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -15,12 +14,8 @@ from clfsec.classifiers import (
     decision_scores,
     fit_gamma_mle,
     fit_gamma_product,
-    llr_decide,
-    llr_score,
-    load_model,
     logistic_loss_gradient,
     rbf_kernel,
-    save_model,
     train_classifier,
     train_linear_svm,
     train_logistic_regression,
@@ -316,27 +311,27 @@ class TestGammaFusion:
         return fit_gamma_product(ds)
 
     def test_llr_decision_rule_inclusive(self):
-        model = self._model()
+        model = self._model()  # threshold 1, so the score is -log(ratio)
         x = np.array([0.4, 0.4])
-        ratio = float(np.exp(-llr_score(model, x)))
+        ratio = float(np.exp(-decision_score(model, x)))
         # rescale the threshold so the effective ratio/threshold is known
         at = lambda r: FusionModel(model.shapes, model.scales, threshold=ratio / r)
-        assert llr_decide(at(1.5), x) is L
-        assert llr_decide(at(0.99), x) is M
-        assert llr_decide(at(1.0), x) is L  # ">= t" is inclusive
+        assert decision_score(at(1.5), x) < 0  # legitimate
+        assert decision_score(at(0.99), x) > 0  # malicious
+        # ">= t" is inclusive: ratio == threshold scores 0, which decides legitimate
+        assert decision_score(at(1.0), x) == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_densities_decide_legitimate(self):
         shapes = np.full((2, 2), 3.0)
         scales = np.full((2, 2), 0.5)
         model = FusionModel(shapes, scales, threshold=1.0)
         for x in ([0.1, 0.9], [1.0, 1.0], [5.0, 0.2]):
-            assert llr_score(model, np.array(x)) == pytest.approx(0.0, abs=1e-12)
-            assert llr_decide(model, np.array(x)) is L
+            assert decision_score(model, np.array(x)) == pytest.approx(0.0, abs=1e-12)
 
     def test_underflow_tie_breaks_malicious(self):
         model = self._model()
         with pytest.warns(RuntimeWarning, match="underflowed"):
-            assert llr_decide(model, np.array([0.0, 0.0])) is M
+            assert decision_score(model, np.array([0.0, 0.0])) == np.inf
 
 
 class TestDecisionScore:
@@ -352,7 +347,7 @@ class TestDecisionScore:
     def test_fusion_score_zero_at_threshold(self):
         model = TestGammaFusion()._model()
         x = np.array([0.3, 0.5])
-        ratio = float(np.exp(-llr_score(model, x)))
+        ratio = float(np.exp(-decision_score(model, x)))  # threshold 1
         aligned = FusionModel(model.shapes, model.scales, threshold=ratio)
         assert decision_score(aligned, x) == pytest.approx(0.0, abs=1e-12)
 
@@ -379,57 +374,6 @@ class TestDecisionScore:
             curve = roc(decision_scores(m, feats), codes)
             assert np.all(np.diff(curve.fp) >= 0)
             assert np.all(np.diff(curve.tp) >= 0)  # tp grows as fp grows (threshold falls)
-
-
-class TestSerialization:
-    def test_linear_round_trip(self, tmp_path, rng):
-        m = LinearModel(rng.normal(size=7), float(rng.normal()))
-        path = tmp_path / "m.json"
-        save_model(m, path)
-        m2 = load_model(path)
-        assert np.array_equal(m.weights, m2.weights) and m.bias == m2.bias
-        doc = json.loads(path.read_text())
-        assert doc["format"] == "clfsec-model" and doc["family"] == "linear"
-
-    def test_round_trip_exact_for_extreme_reals(self, tmp_path):
-        # denormals, huge magnitudes and maximally awkward mantissas all
-        # survive serialization bit for bit
-        values = np.array(
-            [5e-324, -1.7976931348623157e308, 1 / 3, -0.1, 2**-1074, 6.02214076e23, 0.0, -0.0]
-        )
-        m = LinearModel(values, bias=np.pi)
-        path = tmp_path / "x.json"
-        save_model(m, path)
-        m2 = load_model(path)
-        assert all(
-            np.float64(a).tobytes() == np.float64(b).tobytes()
-            for a, b in zip(m.weights, m2.weights)
-        )
-        assert m2.bias == np.pi
-
-    def test_one_class_round_trip(self, tmp_path, rng):
-        X = rng.normal(size=(25, 2))
-        m = train_one_class_svm(Dataset.from_arrays(X, [L] * 25), nu=0.2, gamma=0.9)
-        path = tmp_path / "oc.json"
-        save_model(m, path)
-        m2 = load_model(path)
-        assert np.array_equal(m.support_vectors, m2.support_vectors)
-        assert np.array_equal(m.dual_coefficients, m2.dual_coefficients)
-        assert m.offset == m2.offset and m.kernel_gamma == m2.kernel_gamma and m.nu == m2.nu
-
-    def test_fusion_round_trip(self, tmp_path):
-        m = TestGammaFusion()._model()
-        path = tmp_path / "f.json"
-        save_model(m, path)
-        m2 = load_model(path)
-        assert np.array_equal(m.shapes, m2.shapes) and np.array_equal(m.scales, m2.scales)
-        assert m.threshold == m2.threshold
-
-    def test_unknown_document_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "other"}')
-        with pytest.raises(ValueError, match="unrecognized model document"):
-            load_model(path)
 
 
 class TestTrainDispatch:

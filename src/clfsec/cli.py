@@ -31,7 +31,6 @@ from .config import (
     scenario_from_config,
     validate_config,
 )
-from .attacks import check_scenario_consistency
 from .data_model import Chronological, Dataset, resample
 from .evaluation import EvaluationReport, scenario_roc, security_sweep
 from .ingestion import (
@@ -222,10 +221,6 @@ def _cmd_evaluate(args) -> int:
     cfg = _apply_overrides(cfg, args)
     _check_config(cfg)
     scenario = scenario_from_config(cfg["attack"])
-    issues = check_scenario_consistency(scenario)
-    if issues:
-        raise ConfigError("inconsistent scenario: " + "; ".join(issues))
-
     classifier = classifier_from_config(cfg["classifier"])
     metric = metric_from_config(cfg["evaluation"])
     eval_cfg = cfg["evaluation"]
@@ -261,7 +256,7 @@ def _cmd_evaluate(args) -> int:
     )
     roc_strengths = [float(s) for s in eval_cfg.get("collect_roc", []) or []]
     if roc_strengths:
-        curves = scenario_roc(folds, scenario, classifier, roc_strengths, seed)
+        curves = scenario_roc(curve, roc_strengths)
         report.roc_curves = {f"strength_{s:g}": c for s, c in zip(roc_strengths, curves)}
     report.elapsed_seconds = time.perf_counter() - t0
 
@@ -305,9 +300,6 @@ def _cmd_validate(args) -> int:
     cfg, _ = _resolve_config(args)
     cfg = _apply_overrides(cfg, args)
     problems = validate_config(cfg)
-    if not problems:
-        scenario = scenario_from_config(cfg["attack"])
-        problems = check_scenario_consistency(scenario)
     if problems:
         for p in problems:
             _err(p)

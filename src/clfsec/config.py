@@ -30,7 +30,7 @@ from .attacks import (
 )
 from .classifiers import ClassifierConfig
 from .data_model import Bootstrap, Chronological, CrossValidation, Label
-from .evaluation import Auc10, FarAtGar
+from .evaluation import Auc10, FarAtGar, _sweep_problems
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -109,8 +109,9 @@ def validate_config(cfg: Mapping) -> list[str]:
     except ConfigError as exc:
         problems.append(str(exc))
     try:
-        scenario_from_config(cfg["attack"])
+        scenario = scenario_from_config(cfg["attack"])
     except ConfigError as exc:
+        scenario = None
         problems.append(str(exc))
     try:
         metric_from_config(cfg["evaluation"])
@@ -129,6 +130,16 @@ def validate_config(cfg: Mapping) -> list[str]:
         strengths = []
     if not strengths or 0.0 not in strengths:
         problems.append("attack.strength.values must be a numeric list including 0")
+    if scenario is not None:
+        problems.extend(_sweep_problems(scenario, strengths))
+    try:
+        roc_strengths = [float(s) for s in cfg["evaluation"].get("collect_roc") or []]
+    except (TypeError, ValueError):
+        problems.append("evaluation.collect_roc must be a numeric list")
+    else:
+        missing = [s for s in roc_strengths if s not in strengths]
+        if missing:
+            problems.append(f"evaluation.collect_roc values {missing} are not among attack.strength.values")
     return problems
 
 

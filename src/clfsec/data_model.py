@@ -367,12 +367,7 @@ class DistributionSpec:
 
     def dimension(self) -> int:
         for comp in self.components.values():
-            if isinstance(comp, Analytic):
-                return comp.density.dimension
-            if isinstance(comp, EmpiricalPool):
-                return comp.pool.dimension
-            if isinstance(comp, GeneratorComponent):
-                return comp.generator.dimension
+            return _component_dimension(comp)
         raise ValueError("spec has no components")
 
 

@@ -4,9 +4,10 @@ A security evaluation measures a classifier's performance metric as a
 function of attack strength, averaged over resampled (train, test) pairs.
 Exploratory scenarios train once per fold and reuse the model across
 strength values (training data does not depend on the strength there);
-causative scenarios retrain at every strength.  ROC collection for reports
-runs the same per-item evaluation (fold 0, repetition 0), so each reported
-ROC comes from the model and testing set the sweep scored at that strength.
+causative scenarios retrain at every strength.  The sweep keeps the scores
+of work item (fold 0, repetition 0), and the reports' ROCs are built from
+them, so each reported ROC comes from the model and testing set the sweep
+scored at that strength; no item is run twice.
 
 ROC curves are exact step/trapezoid constructions: samples tied on the
 score move as one block, which makes every derived quantity invariant
@@ -183,13 +184,19 @@ Metric = Union[Auc10, FarAtGar]
 
 @dataclass(frozen=True)
 class SecurityCurve:
-    """Metric mean/std over folds, indexed by attack-strength values."""
+    """Metric mean/std over folds, indexed by attack-strength values.
+
+    ``first_item`` holds the ``(scores, label_codes)`` that work item
+    (fold 0, repetition 0) produced at each strength; it is not part of
+    the curve's value and is not serialized.
+    """
 
     strength_name: str
     strengths: tuple[float, ...]
     means: tuple[float, ...]
     stds: tuple[float, ...]
     k: int
+    first_item: tuple[tuple[np.ndarray, np.ndarray], ...] = field(default=(), compare=False, repr=False)
 
     def to_csv_text(self) -> str:
         lines = ["strength,mean,std,k"]
@@ -295,6 +302,19 @@ def _phase_clean_at(scenario: AttackScenario, phase: str, strength: float, sourc
     return True
 
 
+def _sweep_problems(scenario: AttackScenario, strengths: Sequence[float]) -> list[str]:
+    """Why the scenario cannot be swept over these strengths; empty when it can."""
+    lo, hi = scenario.strength.lo, scenario.strength.hi
+    problems = []
+    outside = [s for s in strengths if not lo <= s <= hi]
+    if outside:
+        problems.append(
+            f"strength values {outside} outside the scenario's {scenario.strength.name} range [{lo:g}, {hi:g}]"
+        )
+    problems.extend(f"inconsistent scenario: {v}" for v in check_scenario_consistency(scenario))
+    return problems
+
+
 def _resolve_classifier(config: ClassifierConfig, train: Dataset, seed: int) -> ClassifierConfig:
     """Replace a C grid with the cross-validated choice on this training set."""
     if config.family == "linear_svm" and "c_grid" in config.params:
@@ -343,8 +363,8 @@ def _evaluate_item(
     phase the attack leaves untouched uses the resampled set directly, so
     the strength-0 entry coincides with classical performance evaluation.
     Exploratory scenarios train once and reuse the model across strengths.
-    A poisoned training set is drawn at ``len(d_tr) / (1 - p)`` samples so
-    that its legitimate part keeps the clean fold's expected size.
+    A training set drawn under a prior override is ``len(d_tr) / (1 - p)``
+    samples, so that its legitimate part keeps the clean fold's expected size.
     """
     d_tr, d_ts = folds.pairs[fi]
     tr_seed = derive_subseed(seed, "fold", fi, "rep", rep, "tr")
@@ -352,50 +372,36 @@ def _evaluate_item(
     pools_seed = derive_subseed(seed, "fold", fi, "rep", rep, "pools")
     train_seed = derive_subseed(seed, "fold", fi, "rep", rep, "train")
 
+    def attacked_set(phase: str, s: float, src: Dataset, model, set_seed: int) -> Dataset:
+        if _phase_clean_at(scenario, phase, s, src):
+            return src
+        pools = build_scenario_pools(
+            d_tr, d_ts, scenario, model=model, strength=s, seed=pools_seed, phases=(phase,)
+        )
+        tr_spec, ts_spec = scenario_distribution_specs(scenario, pools, s, d_tr, d_ts, phases=(phase,))
+        n = len(src)
+        prior = scenario.prior_override(s)
+        if phase == "train" and prior is not None and prior < 1.0:
+            n = int(round(n / (1.0 - prior)))
+        return sample_dataset(tr_spec if phase == "train" else ts_spec, n, set_seed)
+
+    def train(tr: Dataset):
+        return train_classifier(_resolve_classifier(classifier_config, tr, train_seed), tr, seed=train_seed)
+
     model = None
     if not scenario.affects("train"):
         try:
-            cfg = _resolve_classifier(classifier_config, d_tr, train_seed)
-            model = train_classifier(cfg, d_tr, seed=train_seed)
+            model = train(d_tr)
         except Exception as exc:
             raise SweepError(f"fold {fi}, rep {rep}, training: {exc}") from exc
 
     out = []
     for s in strengths:
         try:
+            item_model = model
             if scenario.affects("train"):
-                if _phase_clean_at(scenario, "train", s, d_tr):
-                    tr = d_tr
-                else:
-                    pools = build_scenario_pools(
-                        d_tr, d_ts, scenario, model=None, strength=s,
-                        seed=pools_seed, phases=("train",),
-                    )
-                    tr_spec, _ = scenario_distribution_specs(
-                        scenario, pools, s, d_tr, d_ts, phases=("train",)
-                    )
-                    n = len(d_tr)
-                    prior = scenario.prior_override(s)
-                    if prior is not None and prior < 1.0:
-                        n = int(round(n / (1.0 - prior)))
-                    tr = sample_dataset(tr_spec, n, tr_seed)
-                cfg = _resolve_classifier(classifier_config, tr, train_seed)
-                item_model = train_classifier(cfg, tr, seed=train_seed)
-            else:
-                item_model = model
-
-            if _phase_clean_at(scenario, "test", s, d_ts):
-                ts = d_ts
-            else:
-                pools = build_scenario_pools(
-                    d_tr, d_ts, scenario, model=item_model, strength=s,
-                    seed=pools_seed, phases=("test",),
-                )
-                _, ts_spec = scenario_distribution_specs(
-                    scenario, pools, s, d_tr, d_ts, phases=("test",)
-                )
-                ts = sample_dataset(ts_spec, len(d_ts), ts_seed)
-
+                item_model = train(attacked_set("train", s, d_tr, None, tr_seed))
+            ts = attacked_set("test", s, d_ts, item_model, ts_seed)
             out.append((decision_scores(item_model, ts.features), ts.label_codes))
         except Exception as exc:
             raise SweepError(f"fold {fi}, rep {rep}, strength {s:g}: {exc}") from exc
@@ -415,7 +421,8 @@ def security_sweep(
     """Measure the metric at each attack strength, averaged over folds.
 
     Every (fold, repetition) work item is evaluated at each strength by
-    :func:`_evaluate_item`, the same path :func:`scenario_roc` uses.
+    :func:`_evaluate_item`.  The scores of item (fold 0, repetition 0) are
+    kept on the returned curve, where :func:`scenario_roc` reads them.
 
     Work items are independent; ``jobs`` bounds concurrency and never
     changes the result (values land in a preallocated array and are
@@ -424,25 +431,21 @@ def security_sweep(
     strengths = [float(s) for s in strengths]
     if not any(s == 0.0 for s in strengths):
         raise ValueError("strength values must include 0")
-    lo, hi = scenario.strength.lo, scenario.strength.hi
-    bad = [s for s in strengths if not lo <= s <= hi]
-    if bad:
-        raise ValueError(
-            f"strength values {bad} outside the scenario's {scenario.strength.name} "
-            f"range [{lo:g}, {hi:g}]"
-        )
-    issues = check_scenario_consistency(scenario)
-    if issues:
-        raise ValueError("inconsistent scenario: " + "; ".join(issues))
+    problems = _sweep_problems(scenario, strengths)
+    if problems:
+        raise ValueError("; ".join(problems))
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
 
     items = [(fi, rep) for fi in range(folds.k) for rep in range(repetitions)]
     values = np.zeros((len(items), len(strengths)))
+    first_item: list[tuple[np.ndarray, np.ndarray]] = []
 
     def run_item(item_index: int) -> None:
         fi, rep = items[item_index]
         scored = _evaluate_item(folds, scenario, classifier_config, strengths, seed, fi, rep)
+        if item_index == 0:
+            first_item.extend(scored)
         for si, (s, (scores, codes)) in enumerate(zip(strengths, scored)):
             try:
                 values[item_index, si] = metric.compute(scores, codes)
@@ -464,20 +467,15 @@ def security_sweep(
         means=tuple(float(v) for v in means),
         stds=tuple(float(v) for v in stds),
         k=len(items),
+        first_item=tuple(first_item),
     )
 
 
-def scenario_roc(
-    folds: FoldSet,
-    scenario: AttackScenario,
-    classifier_config: ClassifierConfig,
-    strengths: Sequence[float],
-    seed: int,
-) -> list[RocCurve]:
+def scenario_roc(curve: SecurityCurve, strengths: Sequence[float]) -> list[RocCurve]:
     """ROC of fold 0 / repetition 0 at each strength (plot-ready report data).
 
-    Runs the sweep's own work item, so each curve comes from the model and
-    testing set that produced the sweep's value at that strength.
+    Built from the scores the sweep itself kept for that item, so each
+    curve comes from the model and testing set that produced the sweep's
+    value at that strength.  Every strength must be one the sweep ran.
     """
-    scored = _evaluate_item(folds, scenario, classifier_config, strengths, seed, 0, 0)
-    return [roc(scores, codes) for scores, codes in scored]
+    return [roc(*curve.first_item[curve.strengths.index(float(s))]) for s in strengths]

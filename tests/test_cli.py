@@ -234,6 +234,32 @@ class TestEvaluate:
         path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
         assert main(["sweep", "--config", str(path)]) == 0
 
+    def test_item_zero_trained_once(self, tmp_path, monkeypatch):
+        import clfsec.evaluation
+
+        calls = []
+        train = clfsec.evaluation.train_classifier
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(clfsec.evaluation, "train_classifier", counted)
+        assert main(["evaluate", "--scenario", "bio_spoof_fingerprint", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report_bio_spoof_fingerprint_gamma_fusion.json").read_text())
+        assert sorted(report["roc_curves"]) == ["strength_0", "strength_1"]
+        # one model per fold (k = 5); the report's ROCs reuse the sweep's item 0
+        assert len(calls) == 5
+
+    def test_roc_curves_independent_of_jobs(self, tmp_path):
+        docs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"j{jobs}"
+            assert main(["evaluate", "--scenario", "bio_spoof_face", "--out", str(out), "--jobs", jobs]) == 0
+            docs.append(json.loads((out / "report_bio_spoof_face_gamma_fusion.json").read_text()))
+        assert docs[0]["roc_curves"] and docs[0]["roc_curves"] == docs[1]["roc_curves"]
+        assert docs[0]["curve"] == docs[1]["curve"]
+
     def test_inconsistent_scenario_exits_2_before_training(self, tmp_path, capsys):
         cfg = canned_config("spam_gwi_bwo")
         cfg["attack"]["knowledge"]["parameters"] = False  # generator needs k.iv
@@ -269,6 +295,27 @@ class TestValidateCommand:
         for command in ("validate", "evaluate"):
             assert main([command, "--config", str(path)]) == 2
             assert f"{section}.{key} is no longer supported" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("ids_poison", lambda c: c["attack"]["strength"].update(hi=0.4), "outside the scenario's p_max range"),
+            ("ids_poison", lambda c: c["evaluation"].update(collect_roc=["x"]), "collect_roc must be a numeric list"),
+            ("ids_poison", lambda c: c["evaluation"].update(collect_roc=[0, 0.9]), "[0.9] are not among"),
+            ("bio_spoof_face", lambda c: c["evaluation"].update(collect_roc=[0, 3]), "[3.0] are not among"),
+        ],
+        ids=["strength-above-hi", "collect-roc-not-numeric", "collect-roc-outside-range", "collect-roc-not-a-strength"],
+    )
+    def test_validate_and_evaluate_reject_alike(self, name, edit, message, tmp_path, capsys):
+        cfg = canned_config(name)
+        edit(cfg)
+        cfg["output"]["directory"] = str(tmp_path / "o")
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        for command in ("validate", "evaluate"):
+            assert main([command, "--config", str(path)]) == 2
+            assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_2(self):

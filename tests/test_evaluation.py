@@ -242,7 +242,7 @@ class TestSecuritySweep:
         folds = resample(data, resampling_from_config(cfg["data"]), seed=seed)
         folds = FoldSet(1, folds.pairs[:1])  # fold 0 alone, so the sweep value is item (0, 0)
         curve = security_sweep(folds, scenario, classifier, strengths, metric, seed=seed)
-        rocs = scenario_roc(folds, scenario, classifier, strengths, seed)
+        rocs = scenario_roc(curve, strengths)
         if isinstance(metric, Auc10):
             from_roc = [auc10(c) for c in rocs]
         else:

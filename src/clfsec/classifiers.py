@@ -29,6 +29,7 @@ __all__ = [
     "OneClassModel",
     "FusionModel",
     "TrainedModel",
+    "CLASSIFIER_PARAMS",
     "ClassifierConfig",
     "train_linear_svm",
     "train_logistic_regression",
@@ -521,6 +522,16 @@ def decision_score(model: TrainedModel, x: np.ndarray) -> Score:
 # ---------------------------------------------------------------------------
 
 
+# every config key of each family, with its default; a None default marks a
+# key the config must give, and an empty ``c_grid`` means C is not selected
+CLASSIFIER_PARAMS: dict[str, dict[str, Any]] = {
+    "linear_svm": {"c": 1.0, "tolerance": 1e-6, "c_grid": ()},
+    "logistic_regression": {"learning_rate": 0.1, "epochs": 10},
+    "one_class_svm": {"nu": 0.1, "gamma": None, "tolerance": 1e-6},
+    "gamma_fusion": {"threshold": 1.0},
+}
+
+
 @dataclass(frozen=True)
 class ClassifierConfig:
     """Family tag plus keyword parameters for the matching trainer."""
@@ -534,21 +545,15 @@ class ClassifierConfig:
 
 
 def train_classifier(config: ClassifierConfig, train: Dataset, seed: int = 0) -> TrainedModel:
-    p = dict(config.params)
+    if config.family not in CLASSIFIER_PARAMS:
+        raise ValueError(f"unknown classifier family {config.family!r}")
+    p = {**CLASSIFIER_PARAMS[config.family], **config.params}
     if config.family == "linear_svm":
-        return train_linear_svm(train, c_param=p.get("c", 1.0), tolerance=p.get("tolerance", 1e-6))
+        return train_linear_svm(train, c_param=p["c"], tolerance=p["tolerance"])
     if config.family == "logistic_regression":
         return train_logistic_regression(
-            train,
-            learning_rate_schedule=p.get("learning_rate", 0.1),
-            epochs=p.get("epochs", 10),
-            seed=seed,
+            train, learning_rate_schedule=p["learning_rate"], epochs=p["epochs"], seed=seed
         )
     if config.family == "one_class_svm":
-        return train_one_class_svm(
-            train, nu=p.get("nu", 0.1), gamma=p["gamma"], tolerance=p.get("tolerance", 1e-6)
-        )
-    if config.family == "gamma_fusion":
-        return fit_gamma_product(train, threshold=p.get("threshold", 1.0))
-    raise ValueError(f"unknown classifier family {config.family!r}")
-
+        return train_one_class_svm(train, nu=p["nu"], gamma=p["gamma"], tolerance=p["tolerance"])
+    return fit_gamma_product(train, threshold=p["threshold"])

@@ -9,8 +9,10 @@ user can diff after editing.
 from __future__ import annotations
 
 import importlib.resources
+import inspect
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import yaml
 
@@ -28,9 +30,10 @@ from .attacks import (
     Trait,
     Violation,
 )
-from .classifiers import ClassifierConfig
-from .data_model import Bootstrap, Chronological, CrossValidation, Label
-from .evaluation import Auc10, FarAtGar, _sweep_problems
+from . import synth
+from .classifiers import CLASSIFIER_PARAMS, ClassifierConfig
+from .data_model import Bootstrap, Chronological, CrossValidation, Label, ResampleMethod
+from .evaluation import Auc10, FarAtGar, Metric, _sweep_problems
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -38,7 +41,8 @@ __all__ = [
     "load_config",
     "canned_config",
     "canned_scenario_names",
-    "validate_config",
+    "RunConfig",
+    "parse_config",
     "scenario_from_config",
     "classifier_from_config",
     "metric_from_config",
@@ -55,13 +59,22 @@ _GENERATORS = {
 }
 
 _SECTIONS = ("data", "classifier", "attack", "evaluation", "output")
+_FILE_SOURCES = ("dense", "sparse", "emails", "scores", "payloads")
+_EVALUATION_KEYS = ("metric", "seed", "repetitions", "jobs", "collect_roc")
 
 # keys older configs may still carry; silently ignoring them would change the curve
 _REMOVED_KEYS = (("data", "train_size"), ("data", "test_size"), ("evaluation", "scale_train_with_prior"))
 
 
 class ConfigError(ValueError):
-    """Configuration is malformed or inconsistent (CLI exit code 2)."""
+    """Configuration is malformed or inconsistent (CLI exit code 2).
+
+    ``problems`` lists each problem found; the message joins them.
+    """
+
+    def __init__(self, *problems: str):
+        super().__init__("; ".join(problems))
+        self.problems = list(problems)
 
 
 def load_config(path: str | Path) -> dict:
@@ -83,64 +96,97 @@ def canned_config(name: str) -> dict:
         raise ConfigError(
             f"unknown canned scenario {name!r}; available: {', '.join(canned_scenario_names())}"
         )
-    doc = yaml.safe_load(resource.read_text(encoding="utf-8"))
-    return doc
+    return yaml.safe_load(resource.read_text(encoding="utf-8"))
 
 
-def validate_config(cfg: Mapping) -> list[str]:
-    """Schema-level checks; returns human-readable problems."""
+@dataclass(frozen=True)
+class RunConfig:
+    """One config, parsed and checked: every value ``prepare`` and ``evaluate`` read.
+
+    ``doc`` is the config as given, with the command-line flags applied;
+    reports and manifests record it.
+    """
+
+    doc: Mapping
+    source: str
+    path: Path | None  # file-backed sources only
+    synth: Mapping[str, int]  # keyword arguments of the synthetic source's generator
+    vocab_size: int
+    resampling: ResampleMethod
+    classifier: ClassifierConfig
+    scenario: AttackScenario
+    metric: Metric
+    strengths: tuple[float, ...]
+    collect_roc: tuple[float, ...]
+    seed: int
+    repetitions: int
+    jobs: int
+    out_dir: Path
+
+
+def parse_config(cfg: Mapping, base_dir: Path = Path()) -> RunConfig:
+    """Parse and check a whole config; a relative ``data.path`` is taken from ``base_dir``.
+
+    Raises :class:`ConfigError` listing every problem found.
+    """
     problems = []
     if cfg.get("version") != SCHEMA_VERSION:
         problems.append(f"config version must be {SCHEMA_VERSION}, got {cfg.get('version')!r}")
     for section in _SECTIONS:
-        if section not in cfg:
-            problems.append(f"missing section {section!r}")
+        if not isinstance(cfg.get(section), Mapping):
+            problems.append(f"section {section!r} is missing or not a mapping")
     if problems:
-        return problems
+        raise ConfigError(*problems)
+    data, attack, ev = cfg["data"], cfg["attack"], cfg["evaluation"]
     for section, key in _REMOVED_KEYS:
         if key in cfg[section]:
             problems.append(f"{section}.{key} is no longer supported; remove it")
-    try:
-        resampling_from_config(cfg["data"])
-    except ConfigError as exc:
-        problems.append(str(exc))
-    try:
-        classifier_from_config(cfg["classifier"])
-    except ConfigError as exc:
-        problems.append(str(exc))
-    try:
-        scenario = scenario_from_config(cfg["attack"])
-    except ConfigError as exc:
-        scenario = None
-        problems.append(str(exc))
-    try:
-        metric_from_config(cfg["evaluation"])
-    except ConfigError as exc:
-        problems.append(str(exc))
-    source = cfg["data"].get("source")
-    known_sources = {
-        "dense", "sparse", "emails", "scores", "payloads",
-        "synthetic-spam", "synthetic-scores", "synthetic-ids",
-    }
-    if source not in known_sources:
+    unknown = [k for k in ev if k not in _EVALUATION_KEYS and ("evaluation", k) not in _REMOVED_KEYS]
+    if unknown:
+        problems.append(f"unknown evaluation keys {unknown}; known: {', '.join(_EVALUATION_KEYS)}")
+    source = data.get("source")
+    fields: dict[str, Any] = {"doc": cfg, "source": source, "path": None, "synth": {}}
+
+    def parse(name: str, parser: Callable, *args) -> None:
+        try:
+            fields[name] = parser(*args)
+        except ConfigError as exc:
+            problems.extend(exc.problems)
+
+    if source in _FILE_SOURCES:
+        parse("path", _path, data.get("path"), "data.path", base_dir)
+    elif source in synth.SOURCES:
+        parse("synth", _synth_kwargs, source, data.get("synth", {}))
+    else:
         problems.append(f"unknown data.source {source!r}")
+    parse("vocab_size", _integer, data.get("vocab_size", 1000), "data.vocab_size", 1)
+    parse("resampling", resampling_from_config, data)
+    parse("classifier", classifier_from_config, cfg["classifier"])
+    parse("scenario", scenario_from_config, attack)
     try:
-        strengths = [float(s) for s in cfg["attack"].get("strength", {}).get("values") or []]
-    except (TypeError, ValueError):
-        strengths = []
-    if not strengths or 0.0 not in strengths:
+        fields["strengths"] = tuple(float(s) for s in attack["strength"]["values"])
+    except (KeyError, TypeError, ValueError):
+        fields["strengths"] = ()
+    if 0.0 not in fields["strengths"]:
         problems.append("attack.strength.values must be a numeric list including 0")
-    if scenario is not None:
-        problems.extend(_sweep_problems(scenario, strengths))
+    if "scenario" in fields:
+        problems.extend(_sweep_problems(fields["scenario"], fields["strengths"]))
+    parse("metric", metric_from_config, ev)
+    parse("seed", _integer, ev.get("seed", 0), "evaluation.seed")
+    parse("repetitions", _integer, ev.get("repetitions", 1), "evaluation.repetitions", 1)
+    parse("jobs", _integer, ev.get("jobs", 1), "evaluation.jobs", 1)
     try:
-        roc_strengths = [float(s) for s in cfg["evaluation"].get("collect_roc") or []]
+        fields["collect_roc"] = tuple(float(s) for s in ev.get("collect_roc") or [])
     except (TypeError, ValueError):
         problems.append("evaluation.collect_roc must be a numeric list")
     else:
-        missing = [s for s in roc_strengths if s not in strengths]
+        missing = [s for s in fields["collect_roc"] if s not in fields["strengths"]]
         if missing:
             problems.append(f"evaluation.collect_roc values {missing} are not among attack.strength.values")
-    return problems
+    parse("out_dir", _path, cfg["output"].get("directory", "out"), "output.directory")
+    if problems:
+        raise ConfigError(*problems)
+    return RunConfig(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -148,41 +194,82 @@ def validate_config(cfg: Mapping) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def resampling_from_config(data_section: Mapping):
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value: Any, name: str, lo: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise ConfigError(f"{name} must be >= {lo}, got {value!r}")
+    return value
+
+
+def _path(value: Any, name: str, base_dir: Path = Path()) -> Path:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a path string, got {value!r}")
+    return base_dir / value
+
+
+def _synth_kwargs(source: str, section: Any) -> dict[str, int]:
+    """Keyword arguments for a synthetic source's generator (seed 0 unless given)."""
+    if not isinstance(section, Mapping):
+        raise ConfigError(f"data.synth must be a mapping, got {section!r}")
+    known = inspect.signature(synth.SOURCES[source]).parameters
+    kwargs = {"seed": 0}
+    for key, value in section.items():
+        if key not in known:
+            raise ConfigError(f"data.synth.{key} is not a {source} parameter; known: {', '.join(known)}")
+        kwargs[key] = _integer(value, f"data.synth.{key}", None if key == "seed" else 0)
+    return kwargs
+
+
+def resampling_from_config(data_section: Mapping) -> ResampleMethod:
     rs = data_section.get("resampling")
     if not isinstance(rs, Mapping) or "method" not in rs:
         raise ConfigError("data.resampling.method is required")
     method = rs["method"]
+    if data_section.get("source") == "emails" and method != "chronological":
+        raise ConfigError("email ingestion needs chronological resampling (vocabulary is fitted on the training part)")
     if method == "chronological":
-        if "split_index" not in rs:
-            raise ConfigError("chronological resampling needs split_index")
-        return Chronological(int(rs["split_index"]))
+        return Chronological(_integer(rs.get("split_index"), "data.resampling.split_index", 1))
     if method == "cross_validation":
-        return CrossValidation(int(rs.get("k", 5)))
+        return CrossValidation(_integer(rs.get("k", 5), "data.resampling.k", 2))
     if method == "bootstrap":
-        return Bootstrap(int(rs.get("k", 5)))
+        return Bootstrap(_integer(rs.get("k", 5), "data.resampling.k", 1))
     raise ConfigError(f"unknown resampling method {method!r}")
 
 
 def classifier_from_config(cls_section: Mapping) -> ClassifierConfig:
-    if "family" not in cls_section:
-        raise ConfigError("classifier.family is required")
-    family = cls_section["family"]
-    known = {"linear_svm", "logistic_regression", "one_class_svm", "gamma_fusion"}
-    if family not in known:
-        raise ConfigError(f"unknown classifier family {family!r}")
+    family = cls_section.get("family")
+    if family not in CLASSIFIER_PARAMS:
+        raise ConfigError(f"classifier.family must be one of {', '.join(CLASSIFIER_PARAMS)}, got {family!r}")
+    defaults = CLASSIFIER_PARAMS[family]
     params = {k: v for k, v in cls_section.items() if k != "family"}
-    if family == "one_class_svm" and "gamma" not in params:
-        raise ConfigError("one_class_svm needs a gamma parameter")
+    problems = [f"{family} needs a {k} parameter" for k, v in defaults.items() if v is None and k not in params]
+    for key, value in params.items():
+        if key not in defaults:
+            problems.append(f"classifier.{key} is not a {family} parameter; known: {', '.join(defaults)}")
+        elif key == "c_grid":
+            if not (isinstance(value, list) and value and all(_is_number(c) for c in value)):
+                problems.append(f"classifier.c_grid must be a non-empty list of numbers, got {value!r}")
+        elif not _is_number(value):
+            problems.append(f"classifier.{key} must be a number, got {value!r}")
+    if problems:
+        raise ConfigError(*problems)
     return ClassifierConfig(family=family, params=params)
 
 
-def metric_from_config(eval_section: Mapping):
+def metric_from_config(eval_section: Mapping) -> Metric:
     metric = eval_section.get("metric", "auc10")
     if metric == "auc10":
         return Auc10()
     if isinstance(metric, Mapping) and "far_at_gar" in metric:
-        return FarAtGar(gar=float(metric["far_at_gar"]))
+        gar = metric["far_at_gar"]
+        if not (_is_number(gar) and 0.0 < gar <= 1.0):
+            raise ConfigError(f"evaluation.metric.far_at_gar must be a number in (0, 1], got {gar!r}")
+        return FarAtGar(gar=float(gar))
     raise ConfigError(f"unknown metric {metric!r}")
 
 
@@ -259,7 +346,7 @@ def scenario_from_config(attack_section: Mapping) -> AttackScenario:
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad attack section: {exc!r}") from exc
     return AttackScenario(
         name=name,

@@ -123,15 +123,6 @@ class Dataset:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_samples(cls, samples: Sequence[Sample]) -> "Dataset":
-        if not samples:
-            raise ValueError("cannot infer dimension from an empty sample list; use Dataset.empty(d)")
-        feats = np.stack([np.asarray(s.features, dtype=np.float64) for s in samples])
-        labs = np.array([_LABEL_CODE[s.label] for s in samples], dtype=np.uint8)
-        flags = np.array([_FLAG_CODE[s.flag] for s in samples], dtype=np.uint8)
-        return cls(feats, labs, flags)
-
-    @classmethod
     def from_arrays(
         cls,
         features: np.ndarray,

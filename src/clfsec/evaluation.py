@@ -247,7 +247,7 @@ class EvaluationReport:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "EvaluationReport":
-        if doc.get("format") != "clfsec-report" or doc.get("version") != 1:
+        if not isinstance(doc, Mapping) or doc.get("format") != "clfsec-report" or doc.get("version") != 1:
             raise ValueError("unrecognized report document")
         cur = doc["curve"]
         return cls(

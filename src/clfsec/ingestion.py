@@ -24,7 +24,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "tokenize_text",
     "tokenize_emails",
     "information_gain_select",
-    "vectorize",
     "vectorize_corpus",
     "payload_histogram",
     "load_payloads",
@@ -179,17 +178,6 @@ def information_gain_select(
         vocab_size = len(gains)
     top = gains[:vocab_size]
     return Vocabulary(terms=tuple(t for _, t in top), gains=tuple(g for g, _ in top))
-
-
-def vectorize(token_set: Iterable[str], vocab: Vocabulary) -> np.ndarray:
-    """Binary presence vector over the vocabulary; unknown tokens ignored."""
-    idx = vocab.index()
-    out = np.zeros(len(vocab))
-    for t in token_set:
-        i = idx.get(t)
-        if i is not None:
-            out[i] = 1.0
-    return out
 
 
 def vectorize_corpus(

@@ -16,6 +16,7 @@ __all__ = [
     "synthetic_spam_corpus",
     "synthetic_score_table",
     "synthetic_ids_traffic",
+    "SOURCES",
 ]
 
 # score densities: genuine matchers score high, impostors low, the
@@ -89,3 +90,11 @@ def synthetic_ids_traffic(
     X = np.vstack([legit[:n_train], test_X])
     codes = np.r_[np.zeros(n_train, dtype=np.uint8), test_codes]
     return Dataset(X, codes, np.zeros(len(X), dtype=np.uint8))
+
+
+# data.source name -> generator; a config's data.synth holds its keyword arguments
+SOURCES = {
+    "synthetic-spam": synthetic_spam_corpus,
+    "synthetic-scores": synthetic_score_table,
+    "synthetic-ids": synthetic_ids_traffic,
+}

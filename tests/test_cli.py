@@ -9,8 +9,8 @@ from clfsec.cli import main
 from clfsec.config import (
     canned_config,
     canned_scenario_names,
+    parse_config,
     scenario_from_config,
-    validate_config,
 )
 from clfsec.data_model import (
     AttackFlag,
@@ -304,19 +304,61 @@ class TestValidateCommand:
             ("ids_poison", lambda c: c["evaluation"].update(collect_roc=["x"]), "collect_roc must be a numeric list"),
             ("ids_poison", lambda c: c["evaluation"].update(collect_roc=[0, 0.9]), "[0.9] are not among"),
             ("bio_spoof_face", lambda c: c["evaluation"].update(collect_roc=[0, 3]), "[3.0] are not among"),
+            ("ids_poison", lambda c: c["evaluation"].update(repetitions=0), "evaluation.repetitions must be >= 1"),
+            ("ids_poison", lambda c: c["evaluation"].update(repetitions="x"), "evaluation.repetitions must be an integer"),
+            ("ids_poison", lambda c: c["evaluation"].update(jobs="x"), "evaluation.jobs must be an integer"),
+            ("ids_poison", lambda c: c["evaluation"].update(seed="x"), "evaluation.seed must be an integer"),
+            ("bio_spoof_face", lambda c: c["data"]["resampling"].update(k=0), "data.resampling.k must be >= 2"),
+            ("bio_spoof_face", lambda c: c["data"]["resampling"].update(k="x"), "data.resampling.k must be an integer"),
+            ("ids_poison", lambda c: c["data"]["synth"].update(n_train="x"), "data.synth.n_train must be an integer"),
+            ("bio_spoof_face", lambda c: c["evaluation"].update(metric={"far_at_gar": 2}), "far_at_gar must be a number in (0, 1]"),
+            ("ids_poison", lambda c: c["classifier"].update(gamma="x"), "classifier.gamma must be a number"),
+            ("ids_poison", lambda c: c.update(output=None), "section 'output' is missing or not a mapping"),
+            ("ids_poison", lambda c: c["data"].update(source="payloads"), "data.path must be a path string"),
+            (
+                "spam_gwi_bwo",
+                lambda c: c["data"].update(source="emails", path="index", resampling={"method": "cross_validation"}),
+                "email ingestion needs chronological resampling",
+            ),
+            ("spam_gwi_bwo", lambda c: c["classifier"].update(C=10), "classifier.C is not a linear_svm parameter"),
+            ("ids_poison", lambda c: c["evaluation"].update(repetition=3), "unknown evaluation keys ['repetition']"),
+            ("spam_gwi_bwo", lambda c: c["classifier"].update(c_grid=1.0), "c_grid must be a non-empty list of numbers"),
+            ("spam_gwi_bwo", lambda c: c["classifier"].update(tolerance="1e-6"), "classifier.tolerance must be a number"),
         ],
-        ids=["strength-above-hi", "collect-roc-not-numeric", "collect-roc-outside-range", "collect-roc-not-a-strength"],
+        ids=[
+            "strength-above-hi", "collect-roc-not-numeric", "collect-roc-outside-range", "collect-roc-not-a-strength",
+            "repetitions-zero", "repetitions-not-integer", "jobs-not-integer", "seed-not-integer",
+            "folds-zero", "folds-not-integer", "synth-count-not-integer", "gar-above-one",
+            "classifier-value-not-numeric", "output-null", "file-source-without-path", "emails-cross-validation",
+            "classifier-key-typo", "evaluation-key-typo", "c-grid-not-a-list", "classifier-value-string",
+        ],
     )
     def test_validate_and_evaluate_reject_alike(self, name, edit, message, tmp_path, capsys):
         cfg = canned_config(name)
-        edit(cfg)
         cfg["output"]["directory"] = str(tmp_path / "o")
+        edit(cfg)
         path = tmp_path / "c.yaml"
         path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
         for command in ("validate", "evaluate"):
             assert main([command, "--config", str(path)]) == 2
             assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_jobs_zero_exits_2(self, tmp_path, capsys):
+        for command in ("validate", "evaluate"):
+            assert main([command, "--scenario", "bio_spoof_face", "--jobs", "0", "--out", str(tmp_path / "o")]) == 2
+            assert "evaluation.jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_every_problem_on_its_own_line(self, tmp_path, capsys):
+        cfg = canned_config("ids_poison")
+        cfg["evaluation"].update(seed="x", jobs=0)
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 2
+        assert "evaluation.seed must be an integer" in lines[0] and "evaluation.jobs must be >= 1" in lines[1]
 
     def test_missing_config_exits_2(self):
         assert main(["validate", "--config", "/nonexistent/x.yaml"]) == 2
@@ -385,6 +427,18 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert "auc10" in err and "far_at_gar_0.9" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["{}", "not json", '{"format": "clfsec-report", "version": 1}', "[]"],
+        ids=["empty-object", "not-json", "no-curve", "json-list"],
+    )
+    def test_not_a_report_exits_2(self, text, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["report", str(path), "--out", str(tmp_path / "f")]) == 2
+        assert f"{path} is not a clfsec report" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
+
     def test_roc_bundle_with_log_hint(self, tmp_path):
         cfg = canned_config("bio_spoof_fingerprint")
         cfg["data"]["synth"] = {"seed": 11, "n_genuine": 120, "n_impostor": 400}
@@ -403,7 +457,13 @@ class TestReportCommand:
 class TestCannedConfigs:
     def test_every_canned_config_validates(self):
         for name in canned_scenario_names():
-            assert validate_config(canned_config(name)) == []
+            cfg = canned_config(name)
+            run = parse_config(cfg)
+            assert run.doc is cfg
+            assert run.scenario.name == cfg["attack"]["name"]
+            assert run.classifier.family == cfg["classifier"]["family"]
+            assert run.strengths == tuple(float(s) for s in cfg["attack"]["strength"]["values"])
+            assert run.seed == cfg["evaluation"]["seed"]
 
 
 class TestTableOneInstantiation:

@@ -16,7 +16,6 @@ from clfsec.data_model import (
     GenerationMode,
     GeneratorComponent,
     Label,
-    Sample,
     resample,
     sample_dataset,
     validate_spec,
@@ -48,8 +47,7 @@ def four_cell_spec(pool_source: Dataset, prior=0.5, p_att_l=0.0, p_att_m=0.0, mo
 
 class TestDatasetBasics:
     def test_samples_round_trip(self):
-        s = [Sample(np.array([1.0, 0.0]), M, T), Sample(np.array([0.0, 1.0]), L)]
-        ds = Dataset.from_samples(s)
+        ds = Dataset.from_arrays(np.array([[1.0, 0.0], [0.0, 1.0]]), [M, L], [T, F])
         assert len(ds) == 2 and ds.dimension == 2
         assert ds[0].label is M and ds[0].flag is T
         assert ds[1].label is L and ds[1].flag is F

@@ -5,13 +5,7 @@ from hypothesis import given, strategies as st
 from clfsec.attacks import Trait, gwi_bwo_scenario, poison_scenario, spoof_scenario
 from clfsec.classifiers import ClassifierConfig, decision_scores, train_classifier
 from clfsec.cli import _ingest
-from clfsec.config import (
-    canned_config,
-    classifier_from_config,
-    metric_from_config,
-    resampling_from_config,
-    scenario_from_config,
-)
+from clfsec.config import canned_config, parse_config
 from clfsec.data_model import Chronological, CrossValidation, FoldSet, Label, resample
 from clfsec.evaluation import (
     Auc10,
@@ -232,21 +226,17 @@ class TestSecuritySweep:
     @pytest.mark.parametrize(
         "name, strengths", [("ids_poison", [0, 0.5]), ("bio_spoof_fingerprint", [0, 1])]
     )
-    def test_collected_roc_reproduces_sweep_value(self, name, strengths, tmp_path):
-        cfg = canned_config(name)
-        seed = cfg["evaluation"]["seed"]
-        scenario = scenario_from_config(cfg["attack"])
-        classifier = classifier_from_config(cfg["classifier"])
-        metric = metric_from_config(cfg["evaluation"])
-        data, _ = _ingest(cfg, tmp_path)
-        folds = resample(data, resampling_from_config(cfg["data"]), seed=seed)
+    def test_collected_roc_reproduces_sweep_value(self, name, strengths):
+        run = parse_config(canned_config(name))
+        data, _ = _ingest(run)
+        folds = resample(data, run.resampling, seed=run.seed)
         folds = FoldSet(1, folds.pairs[:1])  # fold 0 alone, so the sweep value is item (0, 0)
-        curve = security_sweep(folds, scenario, classifier, strengths, metric, seed=seed)
+        curve = security_sweep(folds, run.scenario, run.classifier, strengths, run.metric, seed=run.seed)
         rocs = scenario_roc(curve, strengths)
-        if isinstance(metric, Auc10):
+        if isinstance(run.metric, Auc10):
             from_roc = [auc10(c) for c in rocs]
         else:
-            from_roc = [far_at_gar(c, metric.gar).far for c in rocs]
+            from_roc = [far_at_gar(c, run.metric.gar).far for c in rocs]
         assert from_roc == list(curve.means)
 
     def test_inconsistent_scenario_rejected(self):

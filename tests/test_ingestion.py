@@ -15,7 +15,6 @@ from clfsec.ingestion import (
     payload_histogram,
     tokenize_emails,
     tokenize_text,
-    vectorize,
     vectorize_corpus,
     write_dense_csv,
     write_sparse,
@@ -122,15 +121,18 @@ class TestInformationGain:
 class TestVectorize:
     VOCAB = Vocabulary(terms=("alpha", "beta", "gamma"), gains=(0.5, 0.3, 0.1))
 
+    def _row(self, tokens):
+        return vectorize_corpus([frozenset(tokens)], [L], self.VOCAB).features[0]
+
     def test_empty_token_set(self):
-        np.testing.assert_array_equal(vectorize(set(), self.VOCAB), [0, 0, 0])
+        np.testing.assert_array_equal(self._row(set()), [0, 0, 0])
 
     def test_superset_gives_ones(self):
         toks = {"alpha", "beta", "gamma", "delta"}
-        np.testing.assert_array_equal(vectorize(toks, self.VOCAB), [1, 1, 1])
+        np.testing.assert_array_equal(self._row(toks), [1, 1, 1])
 
     def test_disjoint_gives_zeros(self):
-        np.testing.assert_array_equal(vectorize({"x", "y"}, self.VOCAB), [0, 0, 0])
+        np.testing.assert_array_equal(self._row({"x", "y"}), [0, 0, 0])
 
     def test_corpus_vectorization(self):
         ds = vectorize_corpus([frozenset({"alpha"}), frozenset({"beta", "zz"})], [M, L], self.VOCAB)

@@ -5,8 +5,12 @@ security violation, specificity), the adversary's knowledge of the five
 classifier components (k.i-k.v), her capability over training/testing data
 (c.i-c.iv), and the resulting strategy: which priors change, what fraction
 of each class is manipulated, and which generator produces the manipulated
-feature vectors.  Scenarios are plain data; the sweep machinery turns them
-into per-phase distribution specs at each attack-strength value.
+feature vectors.  Scenarios are plain data.  At each attack-strength value
+this module also decides what a scenario does to each phase: whether the
+resampled set is left as it is (:meth:`AttackScenario.untouched`), the
+attacked pools (:func:`build_scenario_pools`), and the phase's distribution
+spec and set size (:func:`scenario_distribution_specs`), which the sweep
+only samples from.
 
 Three generator families are implemented, one per application lane:
 
@@ -55,6 +59,7 @@ __all__ = [
     "spoof_substitution",
     "build_spoof_pool",
     "check_scenario_consistency",
+    "build_scenario_pools",
     "scenario_distribution_specs",
     "gwi_bwo_scenario",
     "spoof_scenario",
@@ -173,6 +178,21 @@ class AttackScenario:
 
     def prior_override(self, strength: float | None) -> float | None:
         return _resolve(self.strategy.prior_override, strength)
+
+    def untouched(self, phase: str, strength: float, source: Dataset) -> bool:
+        """True when the attack leaves this phase's resampled set as it is at this strength.
+
+        A constant positive attacked fraction keeps a phase attacked at every
+        strength where the generator changes samples: ``ids_poison`` at
+        p_max = 0 trains on a resample of the clean slices, not on the fold.
+        """
+        if not self.affects(phase):
+            return True
+        fractions = [self.attacked_fraction(phase, lab, strength) for lab in Label]
+        if not (all(f == 0.0 for f in fractions) or self.strategy.generator.is_noop(strength)):
+            return False
+        override = self.prior_override(strength) if phase == "train" else None
+        return override is None or override == source.empirical_prior_malicious()
 
 
 # ---------------------------------------------------------------------------
@@ -378,30 +398,39 @@ class PoisonGenerator(AttackGenerator):
 
 
 # ---------------------------------------------------------------------------
-# consistency checking and spec assembly
+# consistency checking, attacked pools and spec assembly
 # ---------------------------------------------------------------------------
 
 
 def check_scenario_consistency(scenario: AttackScenario) -> list[str]:
     """Verify strategy fits capability and the taxonomy is coherent."""
     violations: list[str] = []
-    cap = scenario.capability
+    cap, strat = scenario.capability, scenario.strategy
     if scenario.influence is Influence.EXPLORATORY:
         touches_training = cap.affects_training or any(
             ph == "train" and (isinstance(v, _Strength) or v > 0)
-            for (ph, _l), v in scenario.strategy.attacked_fraction.items()
+            for (ph, _l), v in strat.attacked_fraction.items()
         )
-        if touches_training or scenario.strategy.prior_override is not None:
+        if touches_training or strat.prior_override is not None:
             violations.append("exploratory attacks affect only testing data")
     if not 0.0 <= scenario.specificity <= 1.0:
         violations.append(f"specificity out of range: {scenario.specificity}")
-    if scenario.strategy.prior_override is not None and not cap.prior_change_allowed:
+    if strat.prior_override is not None and not cap.prior_change_allowed:
         violations.append("strategy overrides class priors but capability forbids it")
-    for (phase, label), frac in scenario.strategy.attacked_fraction.items():
-        upper = scenario.strength.hi if isinstance(frac, _Strength) else frac
-        # fractions set from the strength parameter are capped by its range
+    lo, hi = scenario.strength.lo, scenario.strength.hi
+    fractions = [
+        (f"attacked fraction of {lab.value} {ph} samples", v) for (ph, lab), v in strat.attacked_fraction.items()
+    ]
+    for what, value in [("prior override", strat.prior_override), *fractions]:
+        if isinstance(value, _Strength):
+            if not (0.0 <= lo and hi <= 1.0):
+                violations.append(f"{what} is the strength, whose range [{lo:g}, {hi:g}] leaves [0, 1]")
+        elif value is not None and not 0.0 <= value <= 1.0:
+            violations.append(f"{what} out of range: {value:g}")
+    for (phase, label), frac in strat.attacked_fraction.items():
+        # a fraction set from the strength parameter reaches the top of its range
+        bound = float(hi if isinstance(frac, _Strength) else frac)
         cap_frac = cap.controllable_fraction(phase, label)
-        bound = min(float(upper), 1.0)
         if bound > cap_frac + 1e-12:
             violations.append(
                 f"strategy attacks up to {bound:g} of {label.value} {phase} samples "
@@ -411,53 +440,80 @@ def check_scenario_consistency(scenario: AttackScenario) -> list[str]:
             violations.append("strategy modifies training data without the capability")
         if phase == "test" and not cap.affects_testing and bound > 0:
             violations.append("strategy modifies testing data without the capability")
-    if scenario.strategy.generator.requires_model_params and not scenario.knowledge.parameters:
-        violations.append(
-            f"generator {scenario.strategy.generator.name} requires parameter knowledge (k.iv)"
-        )
+    if strat.generator.requires_model_params and not scenario.knowledge.parameters:
+        violations.append(f"generator {strat.generator.name} requires parameter knowledge (k.iv)")
     return violations
+
+
+def build_scenario_pools(
+    scenario: AttackScenario,
+    phase: str,
+    d_tr: Dataset,
+    d_ts: Dataset,
+    model,
+    strength: float,
+    seed: int,
+) -> dict[Label, Dataset]:
+    """The attacked pools of one phase, for each label attacked at this strength.
+
+    The scenario's generator produces them from the phase's own substream
+    ``derive_rng(seed, "pools", phase)``.  Raises ``ValueError("capability
+    violation: ...")`` when the strategy manipulates samples the capability
+    does not control.
+    """
+    rng = derive_rng(seed, "pools", phase)
+    attacked = scenario.strategy.generator.attack_pools(
+        phase, d_tr, d_ts, model=model, strength=strength, rng=rng
+    )
+    pools = {}
+    for lab, pool in attacked.items():
+        fraction = scenario.attacked_fraction(phase, lab, strength)
+        if fraction <= 0.0:
+            continue
+        allowed = scenario.capability.controllable_fraction(phase, lab)
+        if fraction > allowed + 1e-12:
+            raise ValueError(
+                f"capability violation: strategy attacks {fraction:g} of "
+                f"{lab.value} {phase} samples but capability allows {allowed:g}"
+            )
+        pools[lab] = pool
+    return pools
 
 
 def scenario_distribution_specs(
     scenario: AttackScenario,
-    pools: Mapping[tuple[str, Label, AttackFlag], Dataset],
+    phase: str,
     strength: float,
-    d_tr: Dataset,
-    d_ts: Dataset,
-    phases: tuple[str, ...] = ("train", "test"),
-) -> tuple[DistributionSpec | None, DistributionSpec | None]:
-    """Per-phase distribution specs at one strength value.
+    source: Dataset,
+    attacked: Mapping[Label, Dataset],
+) -> tuple[DistributionSpec, int]:
+    """The attacked distribution of one phase at one strength, and the set size to draw.
 
-    ``None`` for a phase means the attack leaves it untouched (or the phase
-    was not requested) and the resampled set should be used directly.
+    Clean components are the label slices of the resampled ``source``
+    (stationarity: unmanipulated samples keep the design distribution);
+    attacked components are the pools of :func:`build_scenario_pools`.
+    A training set drawn under a prior override p holds ``len(source) /
+    (1 - p)`` samples, so that its legitimate part keeps the source's
+    expected size; any other set holds ``len(source)``.
     """
-    sources = {"train": d_tr, "test": d_ts}
-    out = []
-    for phase in ("train", "test"):
-        if phase not in phases or not scenario.affects(phase):
-            out.append(None)
-            continue
-        prior = scenario.prior_override(strength) if phase == "train" else None
-        if prior is None:
-            prior = sources[phase].empirical_prior_malicious()
-        attack_prob = {
-            lab: scenario.attacked_fraction(phase, lab, strength)
-            for lab in (Label.LEGITIMATE, Label.MALICIOUS)
-        }
-        components = {}
-        for lab in (Label.LEGITIMATE, Label.MALICIOUS):
-            for flag in (AttackFlag.CLEAN, AttackFlag.ATTACKED):
-                pool = pools[(phase, lab, flag)]
-                if len(pool) > 0:
-                    components[(lab, flag)] = EmpiricalPool(pool)
-        out.append(
-            DistributionSpec(
-                prior_malicious=float(prior),
-                attack_prob=attack_prob,
-                components=components,
-            )
-        )
-    return out[0], out[1]
+    n = len(source)
+    prior = scenario.prior_override(strength) if phase == "train" else None
+    if prior is None:
+        prior = source.empirical_prior_malicious()
+    elif prior < 1.0:
+        n = int(round(n / (1.0 - prior)))
+    components = {}
+    for lab in Label:
+        cells = ((AttackFlag.CLEAN, source.restrict(label=lab)), (AttackFlag.ATTACKED, attacked.get(lab)))
+        for flag, pool in cells:
+            if pool is not None and len(pool) > 0:
+                components[(lab, flag)] = EmpiricalPool(pool)
+    spec = DistributionSpec(
+        prior_malicious=float(prior),
+        attack_prob={lab: scenario.attacked_fraction(phase, lab, strength) for lab in Label},
+        components=components,
+    )
+    return spec, n
 
 
 # ---------------------------------------------------------------------------

@@ -523,7 +523,8 @@ def decision_score(model: TrainedModel, x: np.ndarray) -> Score:
 
 
 # every config key of each family, with its default; a None default marks a
-# key the config must give, and an empty ``c_grid`` means C is not selected
+# key the config must give, an int default a key that takes only integers,
+# and an empty ``c_grid`` means C is not selected
 CLASSIFIER_PARAMS: dict[str, dict[str, Any]] = {
     "linear_svm": {"c": 1.0, "tolerance": 1e-6, "c_grid": ()},
     "logistic_regression": {"learning_rate": 0.1, "epochs": 10},

@@ -254,6 +254,8 @@ def classifier_from_config(cls_section: Mapping) -> ClassifierConfig:
         elif key == "c_grid":
             if not (isinstance(value, list) and value and all(_is_number(c) for c in value)):
                 problems.append(f"classifier.c_grid must be a non-empty list of numbers, got {value!r}")
+        elif isinstance(defaults[key], int) and (isinstance(value, bool) or not isinstance(value, int)):
+            problems.append(f"classifier.{key} must be an integer, got {value!r}")
         elif not _is_number(value):
             problems.append(f"classifier.{key} must be a number, got {value!r}")
     if problems:

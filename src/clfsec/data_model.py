@@ -44,7 +44,6 @@ __all__ = [
     "validate_spec",
     "resample",
     "sample_dataset",
-    "build_scenario_pools",
 ]
 
 
@@ -141,12 +140,6 @@ class Dataset:
         else:
             flg = np.array([_FLAG_CODE[f] for f in flags], dtype=np.uint8)
         return cls(features, labs, flg)
-
-    @classmethod
-    def empty(cls, dimension: int) -> "Dataset":
-        return cls(
-            np.empty((0, dimension)), np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8)
-        )
 
     # -- basic protocol ----------------------------------------------------
 
@@ -546,33 +539,21 @@ def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> Dataset:
             return comp.pool.features[js]
         return np.stack([comp.generator.generate(None, feature_rng) for _ in range(m)])
 
-    if spec.generation_mode is GenerationMode.IID:
-        for cell in _CELL_ORDER:
-            idx = cell_indices(*cell)
-            if idx.size == 0:
-                continue
-            comp = spec.components.get(cell)
-            if comp is None:
-                raise ValueError(f"no component for cell ({cell[0].value}, {cell[1].value})")
-            features[idx] = draw_batch(comp, idx.size, cell)
-        return Dataset(features, label_codes, flag_codes)
-
-    # incremental: clean cells first (batched), then attacked one at a time
-    generated = np.zeros(n, dtype=bool)
+    # incremental mode draws the attacked cells last, one sample at a time
+    incremental = spec.generation_mode is GenerationMode.INCREMENTAL_ATTACK_LAST
     for cell in _CELL_ORDER:
-        if cell[1] is not AttackFlag.CLEAN:
-            continue
         idx = cell_indices(*cell)
-        if idx.size == 0:
+        if idx.size == 0 or (incremental and cell[1] is AttackFlag.ATTACKED):
             continue
         comp = spec.components.get(cell)
         if comp is None:
             raise ValueError(f"no component for cell ({cell[0].value}, {cell[1].value})")
         features[idx] = draw_batch(comp, idx.size, cell)
-        generated[idx] = True
+    if not incremental:
+        return Dataset(features, label_codes, flag_codes)
 
-    attacked_positions = np.flatnonzero(flag_codes == 1)
-    for i in attacked_positions:
+    generated = flag_codes == 0
+    for i in np.flatnonzero(flag_codes == 1):
         cell = (_LABELS[label_codes[i]], AttackFlag.ATTACKED)
         comp = spec.components.get(cell)
         if comp is None:
@@ -585,60 +566,3 @@ def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> Dataset:
             features[i] = draw_batch(comp, 1, cell)[0]
         generated[i] = True
     return Dataset(features, label_codes, flag_codes)
-
-
-# ---------------------------------------------------------------------------
-# scenario pool construction
-# ---------------------------------------------------------------------------
-
-PHASES = ("train", "test")
-
-
-def build_scenario_pools(
-    d_tr: Dataset,
-    d_ts: Dataset,
-    scenario,
-    model=None,
-    strength: float | None = None,
-    seed: int = 0,
-    phases: tuple[str, ...] = PHASES,
-) -> dict[tuple[str, Label, AttackFlag], Dataset]:
-    """Construct the per-(phase, label, flag) pools for an attack scenario.
-
-    Clean pools are label-filtered slices of the input sets (stationarity:
-    unmanipulated samples keep the design distribution).  Attacked pools are
-    produced by the scenario's generator, or left empty for unaffected
-    phases.  Raises ``ValueError("capability violation: ...")`` when the
-    strategy manipulates samples the capability does not control.
-
-    Each phase draws from its own random substream, so restricting
-    ``phases`` never changes the pools produced for the phases kept.
-    """
-    if d_tr.dimension != d_ts.dimension:
-        raise ValueError("training and testing sets disagree on dimension")
-    d = d_tr.dimension
-    sources = {"train": d_tr, "test": d_ts}
-    pools: dict[tuple[str, Label, AttackFlag], Dataset] = {}
-    for phase in phases:
-        src = sources[phase]
-        for lab in _LABELS:
-            pools[(phase, lab, AttackFlag.CLEAN)] = src.restrict(label=lab)
-            pools[(phase, lab, AttackFlag.ATTACKED)] = Dataset.empty(d)
-        if not scenario.affects(phase):
-            continue
-        rng = derive_rng(seed, "pools", phase)
-        attacked = scenario.strategy.generator.attack_pools(
-            phase, d_tr, d_ts, model=model, strength=strength, rng=rng
-        )
-        for lab, pool in attacked.items():
-            fraction = scenario.attacked_fraction(phase, lab, strength)
-            if fraction <= 0.0:
-                continue
-            allowed = scenario.capability.controllable_fraction(phase, lab)
-            if fraction > allowed + 1e-12:
-                raise ValueError(
-                    f"capability violation: strategy attacks {fraction:g} of "
-                    f"{lab.value} {phase} samples but capability allows {allowed:g}"
-                )
-            pools[(phase, lab, AttackFlag.ATTACKED)] = pool
-    return pools

@@ -4,7 +4,10 @@ A security evaluation measures a classifier's performance metric as a
 function of attack strength, averaged over resampled (train, test) pairs.
 Exploratory scenarios train once per fold and reuse the model across
 strength values (training data does not depend on the strength there);
-causative scenarios retrain at every strength.  The sweep keeps the scores
+causative scenarios retrain at every strength.  What an attack does to a
+training or testing phase (left untouched, or its attacked pools,
+distribution spec and set size) is decided in :mod:`.attacks`; this module
+only samples the sets, trains and scores.  The sweep keeps the scores
 of work item (fold 0, repetition 0), and the reports' ROCs are built from
 them, so each reported ROC comes from the model and testing set the sweep
 scored at that strength; no item is run twice.
@@ -23,17 +26,20 @@ from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .attacks import AttackScenario, check_scenario_consistency, scenario_distribution_specs
-from .classifiers import ClassifierConfig, decision_scores, train_classifier, train_linear_svm
-from .data_model import (
-    CrossValidation,
-    Dataset,
-    FoldSet,
-    Label,
+from .attacks import (
+    AttackScenario,
     build_scenario_pools,
-    resample,
-    sample_dataset,
+    check_scenario_consistency,
+    scenario_distribution_specs,
 )
+from .classifiers import (
+    CLASSIFIER_PARAMS,
+    ClassifierConfig,
+    decision_scores,
+    train_classifier,
+    train_linear_svm,
+)
+from .data_model import CrossValidation, Dataset, FoldSet, Label, resample, sample_dataset
 from .rng import derive_subseed
 
 __all__ = [
@@ -78,17 +84,12 @@ def _label_codes(labels) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
-def roc(scores, labels=None) -> RocCurve:
+def roc(scores, labels) -> RocCurve:
     """Exact ROC from scores oriented larger = more malicious.
 
-    Accepts either ``roc(scores, labels)`` or an iterable of
-    ``(score, label)`` pairs.  Tied scores are grouped, so the curve walks
-    one diagonal segment per tie block.
+    Tied scores are grouped, so the curve walks one diagonal segment per
+    tie block.
     """
-    if labels is None:
-        pairs = list(scores)
-        scores = np.array([p[0] for p in pairs], dtype=np.float64)
-        labels = [p[1] for p in pairs]
     scores = np.asarray(scores, dtype=np.float64)
     codes = _label_codes(labels)
     n_m = int(codes.sum())
@@ -284,24 +285,6 @@ class SweepError(RuntimeError):
     pass
 
 
-def _phase_clean_at(scenario: AttackScenario, phase: str, strength: float, source: Dataset) -> bool:
-    """True when the attack leaves this phase untouched at this strength."""
-    if not scenario.affects(phase):
-        return True
-    fractions = [
-        scenario.attacked_fraction(phase, lab, strength)
-        for lab in (Label.LEGITIMATE, Label.MALICIOUS)
-    ]
-    generator_noop = scenario.strategy.generator.is_noop(strength)
-    if not (all(f == 0.0 for f in fractions) or generator_noop):
-        return False
-    if phase == "train":
-        override = scenario.prior_override(strength)
-        if override is not None and override != source.empirical_prior_malicious():
-            return False
-    return True
-
-
 def _sweep_problems(scenario: AttackScenario, strengths: Sequence[float]) -> list[str]:
     """Why the scenario cannot be swept over these strengths; empty when it can."""
     lo, hi = scenario.strength.lo, scenario.strength.hi
@@ -320,7 +303,8 @@ def _resolve_classifier(config: ClassifierConfig, train: Dataset, seed: int) -> 
     if config.family == "linear_svm" and "c_grid" in config.params:
         params = dict(config.params)
         grid = params.pop("c_grid")
-        params["c"] = select_svm_c(train, grid, seed=seed, tolerance=params.get("tolerance", 1e-6))
+        tolerance = params.get("tolerance", CLASSIFIER_PARAMS["linear_svm"]["tolerance"])
+        params["c"] = select_svm_c(train, grid, seed=seed, tolerance=tolerance)
         return ClassifierConfig(config.family, params)
     return config
 
@@ -358,13 +342,13 @@ def _evaluate_item(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Scores and label codes of one (fold, repetition) at each strength.
 
-    Builds the training and testing sets that the scenario's data model
-    prescribes at each strength, trains and scores the testing set.  A
-    phase the attack leaves untouched uses the resampled set directly, so
-    the strength-0 entry coincides with classical performance evaluation.
+    At each strength, builds the training and testing sets, trains and
+    scores the testing set.  The scenario decides what happens to each
+    phase (:mod:`.attacks`): a phase it leaves untouched uses the resampled
+    set directly, so the strength-0 entry coincides with classical
+    performance evaluation; otherwise its attacked pools and distribution
+    spec give the set size, and this function only samples the set.
     Exploratory scenarios train once and reuse the model across strengths.
-    A training set drawn under a prior override is ``len(d_tr) / (1 - p)``
-    samples, so that its legitimate part keeps the clean fold's expected size.
     """
     d_tr, d_ts = folds.pairs[fi]
     tr_seed = derive_subseed(seed, "fold", fi, "rep", rep, "tr")
@@ -373,17 +357,11 @@ def _evaluate_item(
     train_seed = derive_subseed(seed, "fold", fi, "rep", rep, "train")
 
     def attacked_set(phase: str, s: float, src: Dataset, model, set_seed: int) -> Dataset:
-        if _phase_clean_at(scenario, phase, s, src):
+        if scenario.untouched(phase, s, src):
             return src
-        pools = build_scenario_pools(
-            d_tr, d_ts, scenario, model=model, strength=s, seed=pools_seed, phases=(phase,)
-        )
-        tr_spec, ts_spec = scenario_distribution_specs(scenario, pools, s, d_tr, d_ts, phases=(phase,))
-        n = len(src)
-        prior = scenario.prior_override(s)
-        if phase == "train" and prior is not None and prior < 1.0:
-            n = int(round(n / (1.0 - prior)))
-        return sample_dataset(tr_spec if phase == "train" else ts_spec, n, set_seed)
+        attacked = build_scenario_pools(scenario, phase, d_tr, d_ts, model, s, pools_seed)
+        spec, n = scenario_distribution_specs(scenario, phase, s, src, attacked)
+        return sample_dataset(spec, n, set_seed)
 
     def train(tr: Dataset):
         return train_classifier(_resolve_classifier(classifier_config, tr, train_seed), tr, seed=train_seed)

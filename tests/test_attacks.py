@@ -11,6 +11,7 @@ from clfsec.attacks import (
     Strategy,
     Trait,
     Violation,
+    build_scenario_pools,
     build_spoof_pool,
     check_scenario_consistency,
     gwi_bwo_attack,
@@ -28,7 +29,6 @@ from clfsec.data_model import (
     DistributionSpec,
     EmpiricalPool,
     Label,
-    build_scenario_pools,
     sample_dataset,
 )
 
@@ -162,7 +162,7 @@ class TestSpoofing:
     def test_empty_genuine_pool(self):
         imp = Dataset.from_arrays(np.array([[0.1, 0.2]]), [M])
         with pytest.raises(ValueError, match="empty genuine pool"):
-            build_spoof_pool(imp, Dataset.empty(2), Trait.FACE, seed=0)
+            build_spoof_pool(imp, Dataset.from_arrays(np.empty((0, 2)), []), Trait.FACE, seed=0)
 
 
 class TestPoisoning:
@@ -177,8 +177,8 @@ class TestPoisoning:
 
     def _train_spec(self, d_tr, d_ts, p):
         scen = poison_scenario()
-        pools = build_scenario_pools(d_tr, d_ts, scen, strength=p, seed=0, phases=("train",))
-        spec, _ = scenario_distribution_specs(scen, pools, p, d_tr, d_ts, phases=("train",))
+        pools = build_scenario_pools(scen, "train", d_tr, d_ts, None, p, 0)
+        spec, _ = scenario_distribution_specs(scen, "train", p, d_tr, pools)
         return spec
 
     def test_zero_poison_yields_pure_legitimate(self, rng):
@@ -302,12 +302,17 @@ class TestScenarioPools:
         d_tr, d_ts = self._sets(rng)
         scen = gwi_bwo_scenario(6)
         m = LinearModel(rng.normal(size=6), 0.0)
-        pools = build_scenario_pools(d_tr, d_ts, scen, model=m, strength=2, seed=0)
-        assert len(pools[("train", M, AttackFlag.ATTACKED)]) == 0
-        assert len(pools[("train", L, AttackFlag.ATTACKED)]) == 0
-        assert pools[("train", L, AttackFlag.CLEAN)] == d_tr.restrict(label=L)
-        assert pools[("train", M, AttackFlag.CLEAN)] == d_tr.restrict(label=M)
-        assert len(pools[("test", M, AttackFlag.ATTACKED)]) == 10
+        assert scen.untouched("train", 2, d_tr)
+        train_pools = build_scenario_pools(scen, "train", d_tr, d_ts, m, 2, 0)
+        assert train_pools == {}
+        # a training spec built anyway holds only the clean slices of the fold
+        spec, n = scenario_distribution_specs(scen, "train", 2, d_tr, train_pools)
+        assert set(spec.components) == {(L, AttackFlag.CLEAN), (M, AttackFlag.CLEAN)}
+        assert spec.components[(L, AttackFlag.CLEAN)].pool == d_tr.restrict(label=L)
+        assert spec.components[(M, AttackFlag.CLEAN)].pool == d_tr.restrict(label=M)
+        assert spec.attack_prob == {L: 0.0, M: 0.0} and n == len(d_tr)
+        test_pools = build_scenario_pools(scen, "test", d_tr, d_ts, m, 2, 0)
+        assert list(test_pools) == [M] and len(test_pools[M]) == 10
 
     def test_causative_pool_equals_malicious_test_pool(self, rng):
         d_tr = Dataset.from_arrays(rng.normal(size=(20, 2)), [L] * 20)
@@ -315,17 +320,18 @@ class TestScenarioPools:
         d_ts = Dataset.from_arrays(
             np.vstack([rng.normal(size=(10, 2)), mal]), [L] * 10 + [M] * 3
         )
-        pools = build_scenario_pools(d_tr, d_ts, poison_scenario(), strength=0.3, seed=0)
-        got = pools[("train", M, AttackFlag.ATTACKED)]
+        pools = build_scenario_pools(poison_scenario(), "train", d_tr, d_ts, None, 0.3, 0)
+        got = pools[M]
         assert len(got) == 3
         np.testing.assert_array_equal(got.features, mal)
 
     def test_no_attack_means_empty_attacked_pools(self, rng):
         d_tr, d_ts = self._sets(rng)
         scen = spoof_scenario(Trait.FACE)
-        pools = build_scenario_pools(d_tr, d_ts, scen, strength=0.0, seed=0)
+        pools = build_scenario_pools(scen, "test", d_tr, d_ts, None, 0.0, 0)
         # fraction resolves to 0 at strength 0: generator output is not kept
-        assert len(pools[("test", M, AttackFlag.ATTACKED)]) == 0
+        assert pools == {}
+        assert scen.untouched("test", 0.0, d_ts)
 
     def test_capability_violation(self, rng):
         d_tr, d_ts = self._sets(rng)
@@ -347,4 +353,4 @@ class TestScenarioPools:
         )
         m = LinearModel(rng.normal(size=6), 0.0)
         with pytest.raises(ValueError, match="capability violation"):
-            build_scenario_pools(d_tr, d_ts, over, model=m, strength=1, seed=0)
+            build_scenario_pools(over, "test", d_tr, d_ts, m, 1, 0)

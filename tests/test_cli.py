@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from clfsec.attacks import scenario_distribution_specs
+from clfsec.attacks import build_scenario_pools, scenario_distribution_specs
 from clfsec.cli import main
 from clfsec.config import (
     canned_config,
@@ -16,7 +16,6 @@ from clfsec.data_model import (
     AttackFlag,
     EmpiricalPool,
     Label,
-    build_scenario_pools,
     resample,
     Chronological,
 )
@@ -324,6 +323,27 @@ class TestValidateCommand:
             ("ids_poison", lambda c: c["evaluation"].update(repetition=3), "unknown evaluation keys ['repetition']"),
             ("spam_gwi_bwo", lambda c: c["classifier"].update(c_grid=1.0), "c_grid must be a non-empty list of numbers"),
             ("spam_gwi_bwo", lambda c: c["classifier"].update(tolerance="1e-6"), "classifier.tolerance must be a number"),
+            ("spam_gwi_bwo_lr", lambda c: c["classifier"].update(epochs=2.5), "classifier.epochs must be an integer, got 2.5"),
+            (
+                "bio_spoof_face",
+                lambda c: c["attack"]["strategy"]["attacked_fraction"]["test"].update(M=1.5),
+                "attacked fraction of M test samples out of range: 1.5",
+            ),
+            (
+                "bio_spoof_face",
+                lambda c: c["attack"]["strategy"]["attacked_fraction"]["test"].update(M=-0.5),
+                "attacked fraction of M test samples out of range: -0.5",
+            ),
+            (
+                "bio_spoof_face",
+                lambda c: c["attack"]["strength"].update(hi=1.5, values=[0, 1, 1.5]),
+                "attacked fraction of M test samples is the strength, whose range [0, 1.5] leaves [0, 1]",
+            ),
+            (
+                "ids_poison",
+                lambda c: c["attack"]["strength"].update(hi=1.2, values=[0, 0.5, 1.2]),
+                "prior override is the strength, whose range [0, 1.2] leaves [0, 1]",
+            ),
         ],
         ids=[
             "strength-above-hi", "collect-roc-not-numeric", "collect-roc-outside-range", "collect-roc-not-a-strength",
@@ -331,6 +351,8 @@ class TestValidateCommand:
             "folds-zero", "folds-not-integer", "synth-count-not-integer", "gar-above-one",
             "classifier-value-not-numeric", "output-null", "file-source-without-path", "emails-cross-validation",
             "classifier-key-typo", "evaluation-key-typo", "c-grid-not-a-list", "classifier-value-string",
+            "epochs-not-integer", "attacked-fraction-above-one", "attacked-fraction-negative",
+            "strength-fraction-above-one", "strength-prior-above-one",
         ],
     )
     def test_validate_and_evaluate_reject_alike(self, name, edit, message, tmp_path, capsys):
@@ -477,10 +499,11 @@ class TestTableOneInstantiation:
         from clfsec.classifiers import train_linear_svm
 
         model = train_linear_svm(d_tr, 1.0)
-        pools = build_scenario_pools(d_tr, d_ts, scen, model=model, strength=10, seed=0)
-        tr_spec, ts_spec = scenario_distribution_specs(scen, pools, 10, d_tr, d_ts)
         # training untouched: p_tr = p_D
-        assert tr_spec is None
+        assert scen.untouched("train", 10, d_tr)
+        pools = build_scenario_pools(scen, "test", d_tr, d_ts, model, 10, 0)
+        ts_spec, n = scenario_distribution_specs(scen, "test", 10, d_ts, pools)
+        assert n == len(d_ts)
         # p_ts(Y) = p_D(Y); p_ts(A=T|L) = 0; p_ts(A=T|M) = 1
         assert ts_spec.prior_malicious == d_ts.empirical_prior_malicious()
         assert ts_spec.attack_prob[L] == 0.0
@@ -496,9 +519,10 @@ class TestTableOneInstantiation:
         table = synthetic_score_table(seed=11, n_genuine=100, n_impostor=300)
         folds = resample(table, Chronological(300), seed=1)
         d_tr, d_ts = folds.pairs[0]
-        pools = build_scenario_pools(d_tr, d_ts, scen, strength=1.0, seed=0)
-        tr_spec, ts_spec = scenario_distribution_specs(scen, pools, 1.0, d_tr, d_ts)
-        assert tr_spec is None  # p_tr = p_D
+        assert scen.untouched("train", 1.0, d_tr)  # p_tr = p_D
+        pools = build_scenario_pools(scen, "test", d_tr, d_ts, None, 1.0, 0)
+        ts_spec, n = scenario_distribution_specs(scen, "test", 1.0, d_ts, pools)
+        assert n == len(d_ts)
         assert ts_spec.prior_malicious == d_ts.empirical_prior_malicious()
         assert ts_spec.attack_prob[L] == 0.0
         assert ts_spec.attack_prob[M] == 1.0
@@ -510,9 +534,11 @@ class TestTableOneInstantiation:
         traffic = synthetic_ids_traffic(seed=5, n_train=100, n_test_legit=100, n_test_malicious=30)
         folds = resample(traffic, Chronological(100), seed=1)
         d_tr, d_ts = folds.pairs[0]
-        pools = build_scenario_pools(d_tr, d_ts, scen, strength=0.4, seed=0)
-        tr_spec, ts_spec = scenario_distribution_specs(scen, pools, 0.4, d_tr, d_ts)
-        assert ts_spec is None  # testing untouched: p_ts = p_D
+        assert scen.untouched("test", 0.4, d_ts)  # testing untouched: p_ts = p_D
+        pools = build_scenario_pools(scen, "train", d_tr, d_ts, None, 0.4, 0)
+        tr_spec, n = scenario_distribution_specs(scen, "train", 0.4, d_tr, pools)
+        # the legitimate part keeps the fold's expected size: n (1 - p_max) = len(d_tr)
+        assert n == round(len(d_tr) / 0.6)
         # p_tr(M) = p_max; p_tr(A=T|L) = 0; p_tr(A=T|M) = 1
         assert tr_spec.prior_malicious == 0.4
         assert tr_spec.attack_prob[L] == 0.0

@@ -196,7 +196,7 @@ class TestSampleDataset:
         assert np.all(mal == 1) and np.all(leg == 0)
 
     def test_empty_pool_error_identifies_cell(self):
-        pool = Dataset.empty(2)
+        pool = Dataset.from_arrays(np.empty((0, 2)), [])
         spec = DistributionSpec(
             prior_malicious=1.0,
             attack_prob={L: 0.0, M: 1.0},

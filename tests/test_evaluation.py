@@ -40,7 +40,7 @@ class TestRoc:
     def test_hand_enumerated_thresholds(self):
         # M scores {0.9, 0.7}, L scores {0.8, 0.1}: walking the 5 threshold
         # positions by hand gives TP(FP=0) = 0.5 and TP(FP=0.5) = 1.0
-        curve = roc([(0.9, M), (0.7, M), (0.8, L), (0.1, L)])
+        curve = roc(np.array([0.9, 0.7, 0.8, 0.1]), [M, M, L, L])
         pts = list(zip(curve.fp.tolist(), curve.tp.tolist()))
         assert pts == [(0.0, 0.0), (0.0, 0.5), (0.5, 0.5), (0.5, 1.0), (1.0, 1.0)]
 
@@ -258,3 +258,24 @@ class TestSvmGridSelection:
         corpus = synthetic_spam_corpus(seed=9, n=300, d=40)
         grid = [0.01, 0.1, 1.0]
         assert select_svm_c(corpus, grid, seed=1) in grid
+
+    def test_tolerance_default_comes_from_the_table(self, monkeypatch):
+        import clfsec.evaluation as evaluation
+        from clfsec.classifiers import CLASSIFIER_PARAMS
+
+        seen = []
+
+        def fake_select(train, grid, seed, tolerance):
+            seen.append(tolerance)
+            return grid[-1]
+
+        monkeypatch.setattr(evaluation, "select_svm_c", fake_select)
+        monkeypatch.setitem(CLASSIFIER_PARAMS["linear_svm"], "tolerance", 1e-3)
+        corpus = synthetic_spam_corpus(seed=9, n=60, d=40)
+        grid_only = ClassifierConfig("linear_svm", {"c_grid": [0.1, 1.0]})
+        assert evaluation._resolve_classifier(grid_only, corpus, 0).params == {"c": 1.0}
+        assert seen == [1e-3]
+        # a tolerance the config gives wins over the table's
+        with_tolerance = ClassifierConfig("linear_svm", {"c_grid": [1.0], "tolerance": 1e-4})
+        evaluation._resolve_classifier(with_tolerance, corpus, 0)
+        assert seen == [1e-3, 1e-4]

@@ -9,8 +9,9 @@ the classical (attack-free) evaluation.
 """
 
 from clfsec import ClassifierConfig, resample
-from clfsec.attacks import AttackBudget, gwi_bwo_attack, gwi_bwo_scenario
+from clfsec.attacks import AttackBudget, gwi_bwo_attack
 from clfsec.classifiers import decision_score, train_linear_svm
+from clfsec.config import canned_config, scenario_from_config
 from clfsec.data_model import Chronological, Label
 from clfsec.evaluation import Auc10, security_sweep
 from clfsec.synth import synthetic_spam_corpus
@@ -27,9 +28,11 @@ for n_max in (0, 1, 2, 5, 10, 30):
     g = decision_score(model, gwi_bwo_attack(spam, model, AttackBudget(n_max)))
     print(f"  n_max={n_max:>3}  discriminant g(A(x)) = {g:+.3f}")
 
-# the full sweep, for both classifier families
-scenario = gwi_bwo_scenario(n_max_limit=200)
+# the full sweep, for both classifier families, past the canned scenario's n_max range
 strengths = [0, 1, 2, 3, 4, 5, 7, 10, 15, 20, 30, 50, 200]
+attack = canned_config("spam_gwi_bwo")["attack"]
+attack["strength"]["values"] = strengths
+scenario = scenario_from_config(attack)
 print("\npartial AUC (in [0, 0.1]) as the word budget grows:")
 print("n_max: " + "  ".join(f"{s:>6}" for s in strengths))
 for label, family, params in (

@@ -9,14 +9,14 @@ clean comparison is the one that collapses first under poisoning.
 """
 
 from clfsec import ClassifierConfig, resample
-from clfsec.attacks import poison_scenario
+from clfsec.config import canned_config, scenario_from_config
 from clfsec.data_model import Chronological
 from clfsec.evaluation import Auc10, security_sweep
 from clfsec.synth import synthetic_ids_traffic
 
 traffic = synthetic_ids_traffic(seed=5)  # train window, then mixed test traffic
 folds = resample(traffic, Chronological(300), seed=42)
-scenario = poison_scenario()
+scenario = scenario_from_config(canned_config("ids_poison")["attack"])
 strengths = [0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5]
 
 print("partial AUC vs fraction of poisoned training samples (3 repetitions):")

@@ -5,29 +5,34 @@ security violation, specificity), the adversary's knowledge of the five
 classifier components (k.i-k.v), her capability over training/testing data
 (c.i-c.iv), and the resulting strategy: which priors change, what fraction
 of each class is manipulated, and which generator produces the manipulated
-feature vectors.  Scenarios are plain data.  At each attack-strength value
+feature vectors.  Scenarios are plain data; the canned ones live only in
+the package's ``configs/*.yaml`` files.  At each attack-strength value
 this module also decides what a scenario does to each phase: whether the
 resampled set is left as it is (:meth:`AttackScenario.untouched`), the
 attacked pools (:func:`build_scenario_pools`), and the phase's distribution
 spec and set size (:func:`scenario_distribution_specs`), which the sweep
 only samples from.
 
-Three generator families are implemented, one per application lane:
+:data:`GENERATORS` names every attack generator and says which phase's
+malicious samples it replaces.  Three families are implemented, one per
+application lane:
 
 * greedy word insertion/obfuscation against a linear discriminant
-  (:func:`gwi_bwo_attack`),
+  (``gwi_bwo``; :func:`gwi_bwo_attack`),
 * biometric spoofing by substituting an impostor's matching score with a
-  targeted genuine score (:func:`spoof_substitution`),
+  targeted genuine score (``spoof_fingerprint``, ``spoof_face``;
+  :func:`spoof_substitution`),
 * anomaly-detector poisoning that injects the malicious testing pool into
-  the training distribution (:class:`PoisonGenerator`; the injected
-  fraction becomes the training prior through ``prior_override``).
+  the training distribution (``poison_injection``; the injected fraction
+  becomes the training prior through ``prior_override``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from functools import partial
+from typing import Any, Callable, Mapping, Union
 
 import numpy as np
 
@@ -45,8 +50,6 @@ __all__ = [
     "Influence",
     "Violation",
     "Trait",
-    "TARGETED",
-    "INDISCRIMINATE",
     "STRENGTH",
     "Knowledge",
     "Capability",
@@ -58,12 +61,11 @@ __all__ = [
     "gwi_bwo_pool",
     "spoof_substitution",
     "build_spoof_pool",
+    "AttackGenerator",
+    "GENERATORS",
     "check_scenario_consistency",
     "build_scenario_pools",
     "scenario_distribution_specs",
-    "gwi_bwo_scenario",
-    "spoof_scenario",
-    "poison_scenario",
 ]
 
 
@@ -81,11 +83,6 @@ class Violation(enum.Enum):
 class Trait(enum.Enum):
     FINGERPRINT = "fingerprint"
     FACE = "face"
-
-
-# attack specificity is a scale from indiscriminate (0) to targeted (1)
-INDISCRIMINATE = 0.0
-TARGETED = 1.0
 
 
 class _Strength:
@@ -137,7 +134,7 @@ class Capability:
 class Strategy:
     """How the attack modifies the data (a.i-a.iii)."""
 
-    generator: "AttackGenerator"
+    generator: str  # a key of GENERATORS
     attacked_fraction: Mapping[tuple[str, Label], FractionLike] = field(default_factory=dict)
     prior_override: FractionLike | None = None  # training-phase p(Y=M)
 
@@ -189,7 +186,8 @@ class AttackScenario:
         if not self.affects(phase):
             return True
         fractions = [self.attacked_fraction(phase, lab, strength) for lab in Label]
-        if not (all(f == 0.0 for f in fractions) or self.strategy.generator.is_noop(strength)):
+        noop = GENERATORS[self.strategy.generator].noop_at_zero and strength == 0
+        if not (all(f == 0.0 for f in fractions) or noop):
             return False
         override = self.prior_override(strength) if phase == "train" else None
         return override is None or override == source.empirical_prior_malicious()
@@ -322,79 +320,47 @@ def build_spoof_pool(
 
 
 # ---------------------------------------------------------------------------
-# generators pluggable into pool construction
+# the generator registry
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class AttackGenerator:
-    """Produces the attacked pools for the phases a scenario touches."""
+    """Replaces the malicious samples of one phase with attacked ones.
 
-    name: str = "none"
-    requires_model_params: bool = False
+    ``pool(d_ts, model, strength, rng)`` returns one attacked sample per
+    malicious sample of the testing fold ``d_ts``.  ``reads_model`` names
+    the classifier families whose parameters it reads (k.iv); it is empty
+    when the generator reads none.
+    """
 
-    def is_noop(self, strength: float) -> bool:
-        """True when the attack leaves samples unchanged at this strength."""
-        return False
-
-    def attack_pools(
-        self,
-        phase: str,
-        d_tr: Dataset,
-        d_ts: Dataset,
-        model=None,
-        strength: float | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> dict[Label, Dataset]:
-        raise NotImplementedError
+    phase: str
+    pool: Callable[[Dataset, Any, float, np.random.Generator], Dataset]
+    reads_model: tuple[str, ...] = ()
+    noop_at_zero: bool = False  # leaves samples unchanged at strength 0
 
 
-class GwiBwoGenerator(AttackGenerator):
-    name = "gwi_bwo"
-    requires_model_params = True
-
-    def is_noop(self, strength):
-        return strength == 0
-
-    def attack_pools(self, phase, d_tr, d_ts, model=None, strength=None, rng=None):
-        if phase != "test":
-            return {}
-        if model is None:
-            raise ValueError("gwi_bwo generator needs the trained model parameters (k.iv)")
-        n_max = int(round(strength if strength is not None else 0))
-        source = d_ts.restrict(label=Label.MALICIOUS)
-        return {Label.MALICIOUS: gwi_bwo_pool(source, model, n_max)}
+# The pool functions look gwi_bwo_pool and build_spoof_pool up when they run,
+# so a wrapper installed on this module's attribute sees every call.
+def _gwi_bwo(d_ts: Dataset, model, strength: float, rng) -> Dataset:
+    return gwi_bwo_pool(d_ts.restrict(label=Label.MALICIOUS), model, int(round(strength)))
 
 
-class SpoofGenerator(AttackGenerator):
-    requires_model_params = False
-
-    def __init__(self, trait: Trait):
-        self.trait = trait
-        self.name = f"spoof_{trait.value}"
-
-    def attack_pools(self, phase, d_tr, d_ts, model=None, strength=None, rng=None):
-        if phase != "test":
-            return {}
-        impostors = d_ts.restrict(label=Label.MALICIOUS)
-        genuine = d_ts.restrict(label=Label.LEGITIMATE)
-        if rng is None:
-            rng = derive_rng(0, "spoof")
-        return {Label.MALICIOUS: build_spoof_pool(impostors, genuine, self.trait, rng)}
+def _spoof(trait: Trait, d_ts: Dataset, model, strength: float, rng: np.random.Generator) -> Dataset:
+    return build_spoof_pool(d_ts.restrict(label=Label.MALICIOUS), d_ts.restrict(label=Label.LEGITIMATE), trait, rng)
 
 
-class PoisonGenerator(AttackGenerator):
-    name = "poison_injection"
-    requires_model_params = False
+def _poison(d_ts: Dataset, model, strength: float, rng) -> Dataset:
+    pool = d_ts.restrict(label=Label.MALICIOUS)
+    return Dataset(pool.features, pool.label_codes, np.ones(len(pool), dtype=np.uint8))
 
-    def attack_pools(self, phase, d_tr, d_ts, model=None, strength=None, rng=None):
-        if phase != "train":
-            return {}
-        pool = d_ts.restrict(label=Label.MALICIOUS)
-        return {
-            Label.MALICIOUS: Dataset(
-                pool.features, pool.label_codes, np.ones(len(pool), dtype=np.uint8)
-            )
-        }
+
+GENERATORS: Mapping[str, AttackGenerator] = {
+    "gwi_bwo": AttackGenerator("test", _gwi_bwo, reads_model=("linear_svm", "logistic_regression"), noop_at_zero=True),
+    "spoof_fingerprint": AttackGenerator("test", partial(_spoof, Trait.FINGERPRINT)),
+    "spoof_face": AttackGenerator("test", partial(_spoof, Trait.FACE)),
+    "poison_injection": AttackGenerator("train", _poison),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +369,12 @@ class PoisonGenerator(AttackGenerator):
 
 
 def check_scenario_consistency(scenario: AttackScenario) -> list[str]:
-    """Verify strategy fits capability and the taxonomy is coherent."""
+    """Verify strategy fits capability and generator, and the taxonomy is coherent."""
     violations: list[str] = []
     cap, strat = scenario.capability, scenario.strategy
+    generator = GENERATORS.get(strat.generator)
+    if generator is None:
+        return [f"unknown generator {strat.generator!r}; available: {', '.join(GENERATORS)}"]
     if scenario.influence is Influence.EXPLORATORY:
         touches_training = cap.affects_training or any(
             ph == "train" and (isinstance(v, _Strength) or v > 0)
@@ -440,44 +409,43 @@ def check_scenario_consistency(scenario: AttackScenario) -> list[str]:
             violations.append("strategy modifies training data without the capability")
         if phase == "test" and not cap.affects_testing and bound > 0:
             violations.append("strategy modifies testing data without the capability")
-    if strat.generator.requires_model_params and not scenario.knowledge.parameters:
-        violations.append(f"generator {strat.generator.name} requires parameter knowledge (k.iv)")
+        if (phase, label) != (generator.phase, Label.MALICIOUS) and (isinstance(frac, _Strength) or frac > 0):
+            violations.append(
+                f"strategy attacks {label.value} {phase} samples but generator {strat.generator} "
+                f"replaces only {Label.MALICIOUS.value} {generator.phase} samples"
+            )
+    if generator.reads_model and not scenario.knowledge.parameters:
+        violations.append(f"generator {strat.generator} requires parameter knowledge (k.iv)")
     return violations
 
 
 def build_scenario_pools(
     scenario: AttackScenario,
     phase: str,
-    d_tr: Dataset,
     d_ts: Dataset,
     model,
     strength: float,
     seed: int,
 ) -> dict[Label, Dataset]:
-    """The attacked pools of one phase, for each label attacked at this strength.
+    """The attacked pools of one phase at this strength, by label.
 
-    The scenario's generator produces them from the phase's own substream
-    ``derive_rng(seed, "pools", phase)``.  Raises ``ValueError("capability
-    violation: ...")`` when the strategy manipulates samples the capability
-    does not control.
+    The generator's own phase has one while its malicious fraction is
+    positive: the malicious pool the generator builds from the testing
+    fold ``d_ts`` with the phase's substream ``derive_rng(seed, "pools",
+    phase)``.  Raises ``ValueError("capability violation: ...")`` when the
+    strategy manipulates samples the capability does not control.
     """
-    rng = derive_rng(seed, "pools", phase)
-    attacked = scenario.strategy.generator.attack_pools(
-        phase, d_tr, d_ts, model=model, strength=strength, rng=rng
-    )
-    pools = {}
-    for lab, pool in attacked.items():
-        fraction = scenario.attacked_fraction(phase, lab, strength)
-        if fraction <= 0.0:
-            continue
-        allowed = scenario.capability.controllable_fraction(phase, lab)
-        if fraction > allowed + 1e-12:
-            raise ValueError(
-                f"capability violation: strategy attacks {fraction:g} of "
-                f"{lab.value} {phase} samples but capability allows {allowed:g}"
-            )
-        pools[lab] = pool
-    return pools
+    generator = GENERATORS[scenario.strategy.generator]
+    fraction = scenario.attacked_fraction(phase, Label.MALICIOUS, strength)
+    if phase != generator.phase or fraction <= 0.0:
+        return {}
+    allowed = scenario.capability.controllable_fraction(phase, Label.MALICIOUS)
+    if fraction > allowed + 1e-12:
+        raise ValueError(
+            f"capability violation: strategy attacks {fraction:g} of "
+            f"{Label.MALICIOUS.value} {phase} samples but capability allows {allowed:g}"
+        )
+    return {Label.MALICIOUS: generator.pool(d_ts, model, strength, derive_rng(seed, "pools", phase))}
 
 
 def scenario_distribution_specs(
@@ -514,78 +482,3 @@ def scenario_distribution_specs(
         components=components,
     )
     return spec, n
-
-
-# ---------------------------------------------------------------------------
-# the three canned scenarios
-# ---------------------------------------------------------------------------
-
-
-def gwi_bwo_scenario(n_max_limit: int) -> AttackScenario:
-    """Indiscriminate exploratory integrity attack on a spam filter."""
-    return AttackScenario(
-        name="spam_gwi_bwo",
-        influence=Influence.EXPLORATORY,
-        violation=Violation.INTEGRITY,
-        specificity=INDISCRIMINATE,
-        knowledge=Knowledge(feature_set=True, algorithm=True, parameters=True),
-        capability=Capability(
-            affects_training=False,
-            affects_testing=True,
-            prior_change_allowed=False,
-            controllable={("test", Label.MALICIOUS): 1.0},
-            feature_constraints="binary features; at most n_max flips per sample",
-        ),
-        strategy=Strategy(
-            generator=GwiBwoGenerator(),
-            attacked_fraction={("test", Label.MALICIOUS): 1.0},
-        ),
-        strength=StrengthParam("n_max", 0.0, float(n_max_limit)),
-    )
-
-
-def spoof_scenario(trait: Trait) -> AttackScenario:
-    """Targeted exploratory integrity attack on a score-fusion verifier."""
-    return AttackScenario(
-        name=f"bio_spoof_{trait.value}",
-        influence=Influence.EXPLORATORY,
-        violation=Violation.INTEGRITY,
-        specificity=TARGETED,
-        knowledge=Knowledge(training_data=True, feature_set=True),
-        capability=Capability(
-            affects_training=False,
-            affects_testing=True,
-            prior_change_allowed=False,
-            controllable={("test", Label.MALICIOUS): 1.0},
-            feature_constraints=f"replaces only the {trait.value} score",
-        ),
-        strategy=Strategy(
-            generator=SpoofGenerator(trait),
-            attacked_fraction={("test", Label.MALICIOUS): STRENGTH},
-        ),
-        strength=StrengthParam("spoof_fraction", 0.0, 1.0),
-    )
-
-
-def poison_scenario() -> AttackScenario:
-    """Indiscriminate causative integrity attack on an anomaly detector."""
-    return AttackScenario(
-        name="ids_poison",
-        influence=Influence.CAUSATIVE,
-        violation=Violation.INTEGRITY,
-        specificity=INDISCRIMINATE,
-        knowledge=Knowledge(feature_set=True, algorithm=True),
-        capability=Capability(
-            affects_training=True,
-            affects_testing=False,
-            prior_change_allowed=True,
-            controllable={("train", Label.MALICIOUS): 1.0},
-            feature_constraints="full control of injected samples' features",
-        ),
-        strategy=Strategy(
-            generator=PoisonGenerator(),
-            attacked_fraction={("train", Label.MALICIOUS): 1.0},
-            prior_override=STRENGTH,
-        ),
-        strength=StrengthParam("p_max", 0.0, 0.5),
-    )

@@ -17,17 +17,14 @@ from typing import Any, Callable, Mapping
 import yaml
 
 from .attacks import (
+    GENERATORS,
     STRENGTH,
     AttackScenario,
     Capability,
-    GwiBwoGenerator,
     Influence,
     Knowledge,
-    PoisonGenerator,
-    SpoofGenerator,
     Strategy,
     StrengthParam,
-    Trait,
     Violation,
 )
 from . import synth
@@ -51,16 +48,25 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_GENERATORS = {
-    "gwi_bwo": GwiBwoGenerator,
-    "spoof_fingerprint": lambda: SpoofGenerator(Trait.FINGERPRINT),
-    "spoof_face": lambda: SpoofGenerator(Trait.FACE),
-    "poison_injection": PoisonGenerator,
-}
-
 _SECTIONS = ("data", "classifier", "attack", "evaluation", "output")
 _FILE_SOURCES = ("dense", "sparse", "emails", "scores", "payloads")
-_EVALUATION_KEYS = ("metric", "seed", "repetitions", "jobs", "collect_roc")
+
+# the keys each mapping may hold (classifier and data.synth keys come from
+# CLASSIFIER_PARAMS and synth.SOURCES); output.formats is accepted but not read
+_KNOWN_KEYS = {
+    (): ("version", *_SECTIONS),
+    ("data",): ("source", "path", "synth", "vocab_size", "resampling"),
+    ("data", "resampling"): ("method", "k", "split_index"),
+    ("attack",): ("name", "influence", "violation", "specificity", "knowledge", "capability", "strategy", "strength"),
+    ("attack", "knowledge"): ("training_data", "feature_set", "algorithm", "parameters", "feedback"),
+    ("attack", "capability"): (
+        "affects_training", "affects_testing", "prior_change_allowed", "controllable_fraction", "feature_constraints",
+    ),
+    ("attack", "strategy"): ("generator", "attacked_fraction", "prior_override"),
+    ("attack", "strength"): ("name", "values", "lo", "hi"),
+    ("evaluation",): ("metric", "seed", "repetitions", "jobs", "collect_roc"),
+    ("output",): ("directory", "formats"),
+}
 
 # keys older configs may still carry; silently ignoring them would change the curve
 _REMOVED_KEYS = (("data", "train_size"), ("data", "test_size"), ("evaluation", "scale_train_with_prior"))
@@ -138,12 +144,7 @@ def parse_config(cfg: Mapping, base_dir: Path = Path()) -> RunConfig:
     if problems:
         raise ConfigError(*problems)
     data, attack, ev = cfg["data"], cfg["attack"], cfg["evaluation"]
-    for section, key in _REMOVED_KEYS:
-        if key in cfg[section]:
-            problems.append(f"{section}.{key} is no longer supported; remove it")
-    unknown = [k for k in ev if k not in _EVALUATION_KEYS and ("evaluation", k) not in _REMOVED_KEYS]
-    if unknown:
-        problems.append(f"unknown evaluation keys {unknown}; known: {', '.join(_EVALUATION_KEYS)}")
+    problems.extend(_key_problems(cfg))
     source = data.get("source")
     fields: dict[str, Any] = {"doc": cfg, "source": source, "path": None, "synth": {}}
 
@@ -171,6 +172,13 @@ def parse_config(cfg: Mapping, base_dir: Path = Path()) -> RunConfig:
         problems.append("attack.strength.values must be a numeric list including 0")
     if "scenario" in fields:
         problems.extend(_sweep_problems(fields["scenario"], fields["strengths"]))
+        generator = fields["scenario"].strategy.generator
+        reads = GENERATORS[generator].reads_model if generator in GENERATORS else ()
+        if reads and "classifier" in fields and fields["classifier"].family not in reads:
+            problems.append(
+                f"generator {generator} reads the parameters of a {' or '.join(reads)} model (k.iv), "
+                f"not of a {fields['classifier'].family}"
+            )
     parse("metric", metric_from_config, ev)
     parse("seed", _integer, ev.get("seed", 0), "evaluation.seed")
     parse("repetitions", _integer, ev.get("repetitions", 1), "evaluation.repetitions", 1)
@@ -192,6 +200,24 @@ def parse_config(cfg: Mapping, base_dir: Path = Path()) -> RunConfig:
 # ---------------------------------------------------------------------------
 # section parsers
 # ---------------------------------------------------------------------------
+
+
+def _key_problems(cfg: Mapping) -> list[str]:
+    """Removed and unknown keys, per mapping of :data:`_KNOWN_KEYS`."""
+    problems = []
+    for path, known in _KNOWN_KEYS.items():
+        section = cfg
+        for part in path:
+            section = section.get(part) if isinstance(section, Mapping) else None
+        if not isinstance(section, Mapping):
+            continue
+        where = ".".join(path) or "top-level"
+        removed = [k for k in section if (*path, k) in _REMOVED_KEYS]
+        problems.extend(f"{where}.{k} is no longer supported; remove it" for k in removed)
+        unknown = [k for k in section if k not in known and k not in removed]
+        if unknown:
+            problems.append(f"unknown {where} keys {unknown}; known: {', '.join(known)}")
+    return problems
 
 
 def _is_number(value: Any) -> bool:
@@ -326,16 +352,11 @@ def scenario_from_config(attack_section: Mapping) -> AttackScenario:
             feature_constraints=cap.get("feature_constraints"),
         )
         strat = attack_section["strategy"]
-        gen_name = strat["generator"]
-        if gen_name not in _GENERATORS:
-            raise ConfigError(
-                f"unknown generator {gen_name!r}; available: {', '.join(sorted(_GENERATORS))}"
-            )
         prior_override = strat.get("prior_override")
         if prior_override is not None:
             prior_override = _fraction(prior_override)
         strategy = Strategy(
-            generator=_GENERATORS[gen_name](),
+            generator=str(strat["generator"]),
             attacked_fraction=_fraction_map(strat.get("attacked_fraction")),
             prior_override=prior_override,
         )

@@ -359,7 +359,7 @@ def _evaluate_item(
     def attacked_set(phase: str, s: float, src: Dataset, model, set_seed: int) -> Dataset:
         if scenario.untouched(phase, s, src):
             return src
-        attacked = build_scenario_pools(scenario, phase, d_tr, d_ts, model, s, pools_seed)
+        attacked = build_scenario_pools(scenario, phase, d_ts, model, s, pools_seed)
         spec, n = scenario_distribution_specs(scenario, phase, s, src, attacked)
         return sample_dataset(spec, n, set_seed)
 

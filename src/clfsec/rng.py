@@ -8,15 +8,20 @@ order, or concurrently, without changing results.
 
 Stream tag conventions used across the library:
 
-==================  ==========================================
-``("labels",)``         class/flag draws inside the dataset sampler
-``("features",)``       feature draws inside the dataset sampler
-``("resample",)``       shuffles and bootstrap draws
-``("fold", i, "rep", j)``   per-work-item base inside a sweep
-``("train",)``          classifier-internal randomness (e.g. LR shuffles)
-``("ts",)`` / ``("tr",)``  testing / training set generation in a sweep
-``("spoof",)``          spoof-target selection
-==================  ==========================================
+======================================  ==================================================
+``("fold", i, "rep", j, "tr")``         training-set sampling seed of sweep item (i, j)
+``("fold", i, "rep", j, "ts")``         testing-set sampling seed of sweep item (i, j)
+``("fold", i, "rep", j, "pools")``      attack-pool seed of sweep item (i, j)
+``("fold", i, "rep", j, "train")``      classifier seed of sweep item (i, j)
+``("pools", phase)``                    one phase's attacked pools, under the pool seed
+``("labels",)``                         class/flag draws inside the dataset sampler
+``("features",)``                       feature draws inside the dataset sampler
+``("resample",)``                       shuffles and bootstrap draws
+``("train",)``                          classifier-internal randomness (e.g. LR shuffles)
+``("cgrid-folds",)``                    folds of the SVM C-grid selection
+``("spoof",)``                          spoof targets when ``build_spoof_pool`` gets a seed
+``("synthetic-spam",)`` etc.            the bundled synthetic sources
+======================================  ==================================================
 """
 
 from __future__ import annotations

@@ -16,9 +16,6 @@ from clfsec.attacks import (
     Trait,
     build_spoof_pool,
     gwi_bwo_attack,
-    gwi_bwo_scenario,
-    poison_scenario,
-    spoof_scenario,
 )
 from clfsec.classifiers import (
     ClassifierConfig,
@@ -46,6 +43,7 @@ from clfsec.evaluation import Auc10, FarAtGar, auc10, far_at_gar, roc, security_
 from clfsec.rng import derive_rng
 from clfsec.synth import synthetic_ids_traffic, synthetic_score_table, synthetic_spam_corpus
 
+from canned import canned_scenario
 from oracles import (
     hamming_ball_minimum,
     one_class_dual_oracle,
@@ -244,7 +242,7 @@ def test_criterion_08_spam_security_curve_reproduction():
     with _Timer("8 spam evasion curves (SVM and LR), nonincreasing to zero", 300.0):
         corpus = synthetic_spam_corpus(seed=7, n=2000, d=200)
         folds = resample(corpus, Chronological(1000), seed=42)
-        scenario = gwi_bwo_scenario(200)
+        scenario = canned_scenario("spam_gwi_bwo", [0, 200])
         strengths = list(range(0, 51)) + [200]
         for config in (
             ClassifierConfig("linear_svm", {"c": 1.0}),
@@ -261,7 +259,7 @@ def test_criterion_09_poisoning_gamma_contrast():
     with _Timer("9 poisoning hurts the large-gamma model first", 300.0):
         traffic = synthetic_ids_traffic(seed=5)
         folds = resample(traffic, Chronological(300), seed=42)
-        scenario = poison_scenario()
+        scenario = canned_scenario("ids_poison")
         strengths = [0, 0.05, 0.1, 0.2]
         curves = {}
         for gamma in (0.1, 50.0):
@@ -319,7 +317,7 @@ def test_criterion_11a_trec_spam_evasion():
 
     token_sets, labels, _ = tokenize_emails(os.environ["CLFSEC_TREC_INDEX"])
     token_sets, labels = token_sets[:20_000], labels[:20_000]
-    scenario = gwi_bwo_scenario(60)
+    scenario = canned_scenario("spam_gwi_bwo", [0, 60])
     for vocab_size in (1_000, 2_000, 10_000, 20_000):
         vocab = information_gain_select(token_sets[:10_000], labels[:10_000], vocab_size)
         data = vectorize_corpus(token_sets, labels, vocab)
@@ -356,7 +354,7 @@ def test_criterion_11b_bssr1_spoofing():
     for trait, floor in ((Trait.FINGERPRINT, 0.5), (Trait.FACE, 0.05)):
         curve = security_sweep(
             folds,
-            spoof_scenario(trait),
+            canned_scenario(f"bio_spoof_{trait.value}"),
             ClassifierConfig("gamma_fusion", {}),
             [0, 1],
             FarAtGar(0.9),

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from clfsec.attacks import (
+    GENERATORS,
     AttackBudget,
     AttackScenario,
     Capability,
     Influence,
     Knowledge,
     Strategy,
+    StrengthParam,
     Trait,
     Violation,
     build_scenario_pools,
@@ -16,10 +18,7 @@ from clfsec.attacks import (
     check_scenario_consistency,
     gwi_bwo_attack,
     gwi_bwo_pool,
-    gwi_bwo_scenario,
-    poison_scenario,
     scenario_distribution_specs,
-    spoof_scenario,
     spoof_substitution,
 )
 from clfsec.classifiers import LinearModel
@@ -32,6 +31,7 @@ from clfsec.data_model import (
     sample_dataset,
 )
 
+from canned import canned_scenario
 from oracles import hamming_ball_minimum
 
 L, M = Label.LEGITIMATE, Label.MALICIOUS
@@ -166,7 +166,7 @@ class TestSpoofing:
 
 
 class TestPoisoning:
-    """The causative path: PoisonGenerator pools turned into the training spec."""
+    """The causative path: poison_injection pools turned into the training spec."""
 
     def _sets(self, rng, mal_vectors, n=50):
         d_tr = Dataset.from_arrays(rng.normal(size=(n, 2)), [L] * n)
@@ -176,8 +176,8 @@ class TestPoisoning:
         return d_tr, d_ts
 
     def _train_spec(self, d_tr, d_ts, p):
-        scen = poison_scenario()
-        pools = build_scenario_pools(scen, "train", d_tr, d_ts, None, p, 0)
+        scen = canned_scenario("ids_poison")
+        pools = build_scenario_pools(scen, "train", d_ts, None, p, 0)
         spec, _ = scenario_distribution_specs(scen, "train", p, d_tr, pools)
         return spec
 
@@ -223,11 +223,11 @@ class TestPoisoning:
 
 class TestScenarioConsistency:
     def test_canned_scenarios_consistent(self):
-        for scen in (gwi_bwo_scenario(50), spoof_scenario(Trait.FINGERPRINT), poison_scenario()):
+        for scen in (canned_scenario("spam_gwi_bwo", [0, 50]), canned_scenario("bio_spoof_fingerprint"), canned_scenario("ids_poison")):
             assert check_scenario_consistency(scen) == []
 
     def test_exploratory_touching_training_flagged(self):
-        scen = gwi_bwo_scenario(10)
+        scen = canned_scenario("spam_gwi_bwo", [0, 10])
         bad = AttackScenario(
             name="bad",
             influence=Influence.EXPLORATORY,
@@ -250,7 +250,7 @@ class TestScenarioConsistency:
         assert any("exploratory" in v for v in issues)
 
     def test_strategy_exceeding_capability_flagged(self):
-        scen = gwi_bwo_scenario(10)
+        scen = canned_scenario("spam_gwi_bwo", [0, 10])
         bad = AttackScenario(
             name="bad",
             influence=scen.influence,
@@ -273,7 +273,7 @@ class TestScenarioConsistency:
         assert any("capability controls" in v for v in issues)
 
     def test_model_knowledge_requirement(self):
-        scen = gwi_bwo_scenario(10)
+        scen = canned_scenario("spam_gwi_bwo", [0, 10])
         blind = AttackScenario(
             name="blind",
             influence=scen.influence,
@@ -288,6 +288,34 @@ class TestScenarioConsistency:
         assert any("k.iv" in v for v in issues)
 
 
+class TestGenerators:
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_replaces_the_malicious_samples_of_its_own_phase(self, name, rng):
+        generator = GENERATORS[name]
+        cell = (generator.phase, M)
+        scen = AttackScenario(
+            name=name,
+            influence=Influence.CAUSATIVE,
+            violation=Violation.INTEGRITY,
+            specificity=0.0,
+            knowledge=Knowledge(parameters=True),
+            capability=Capability(
+                affects_training=True, affects_testing=True, prior_change_allowed=False, controllable={cell: 1.0}
+            ),
+            strategy=Strategy(generator=name, attacked_fraction={cell: 1.0}),
+            strength=StrengthParam("s", 0.0, 2.0),
+        )
+        assert check_scenario_consistency(scen) == []
+        d_ts = Dataset.from_arrays((rng.random((20, 6)) < 0.5).astype(float), [L] * 12 + [M] * 8)
+        m = LinearModel(rng.normal(size=6), 0.0) if generator.reads_model else None
+        pools = build_scenario_pools(scen, generator.phase, d_ts, m, 2, 0)
+        assert list(pools) == [M]
+        assert len(pools[M]) == 8
+        assert np.all(pools[M].label_codes == 1) and np.all(pools[M].flag_codes == 1)
+        other = "train" if generator.phase == "test" else "test"
+        assert build_scenario_pools(scen, other, d_ts, m, 2, 0) == {}
+
+
 class TestScenarioPools:
     def _sets(self, rng):
         d_tr = Dataset.from_arrays(
@@ -300,10 +328,10 @@ class TestScenarioPools:
 
     def test_exploratory_training_pools_clean_only(self, rng):
         d_tr, d_ts = self._sets(rng)
-        scen = gwi_bwo_scenario(6)
+        scen = canned_scenario("spam_gwi_bwo", [0, 6])
         m = LinearModel(rng.normal(size=6), 0.0)
         assert scen.untouched("train", 2, d_tr)
-        train_pools = build_scenario_pools(scen, "train", d_tr, d_ts, m, 2, 0)
+        train_pools = build_scenario_pools(scen, "train", d_ts, m, 2, 0)
         assert train_pools == {}
         # a training spec built anyway holds only the clean slices of the fold
         spec, n = scenario_distribution_specs(scen, "train", 2, d_tr, train_pools)
@@ -311,7 +339,7 @@ class TestScenarioPools:
         assert spec.components[(L, AttackFlag.CLEAN)].pool == d_tr.restrict(label=L)
         assert spec.components[(M, AttackFlag.CLEAN)].pool == d_tr.restrict(label=M)
         assert spec.attack_prob == {L: 0.0, M: 0.0} and n == len(d_tr)
-        test_pools = build_scenario_pools(scen, "test", d_tr, d_ts, m, 2, 0)
+        test_pools = build_scenario_pools(scen, "test", d_ts, m, 2, 0)
         assert list(test_pools) == [M] and len(test_pools[M]) == 10
 
     def test_causative_pool_equals_malicious_test_pool(self, rng):
@@ -320,22 +348,22 @@ class TestScenarioPools:
         d_ts = Dataset.from_arrays(
             np.vstack([rng.normal(size=(10, 2)), mal]), [L] * 10 + [M] * 3
         )
-        pools = build_scenario_pools(poison_scenario(), "train", d_tr, d_ts, None, 0.3, 0)
+        pools = build_scenario_pools(canned_scenario("ids_poison"), "train", d_ts, None, 0.3, 0)
         got = pools[M]
         assert len(got) == 3
         np.testing.assert_array_equal(got.features, mal)
 
     def test_no_attack_means_empty_attacked_pools(self, rng):
         d_tr, d_ts = self._sets(rng)
-        scen = spoof_scenario(Trait.FACE)
-        pools = build_scenario_pools(scen, "test", d_tr, d_ts, None, 0.0, 0)
+        scen = canned_scenario("bio_spoof_face")
+        pools = build_scenario_pools(scen, "test", d_ts, None, 0.0, 0)
         # fraction resolves to 0 at strength 0: generator output is not kept
         assert pools == {}
         assert scen.untouched("test", 0.0, d_ts)
 
     def test_capability_violation(self, rng):
         d_tr, d_ts = self._sets(rng)
-        scen = gwi_bwo_scenario(6)
+        scen = canned_scenario("spam_gwi_bwo", [0, 6])
         over = AttackScenario(
             name="over",
             influence=scen.influence,
@@ -353,4 +381,4 @@ class TestScenarioPools:
         )
         m = LinearModel(rng.normal(size=6), 0.0)
         with pytest.raises(ValueError, match="capability violation"):
-            build_scenario_pools(over, "test", d_tr, d_ts, m, 1, 0)
+            build_scenario_pools(over, "test", d_ts, m, 1, 0)

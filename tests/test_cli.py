@@ -344,6 +344,41 @@ class TestValidateCommand:
                 lambda c: c["attack"]["strength"].update(hi=1.2, values=[0, 0.5, 1.2]),
                 "prior override is the strength, whose range [0, 1.2] leaves [0, 1]",
             ),
+            (
+                "spam_gwi_bwo",
+                lambda c: (
+                    c["attack"]["capability"]["controllable_fraction"]["test"].update(L=0.5),
+                    c["attack"]["strategy"]["attacked_fraction"]["test"].update(L=0.5),
+                ),
+                "strategy attacks L test samples but generator gwi_bwo replaces only M test samples",
+            ),
+            (
+                "ids_poison",
+                lambda c: (
+                    c["attack"]["capability"].update(affects_testing=True, controllable_fraction={"train": {"M": 1.0}, "test": {"M": 1.0}}),
+                    c["attack"]["strategy"]["attacked_fraction"].update(test={"M": 0.5}),
+                ),
+                "strategy attacks M test samples but generator poison_injection replaces only M train samples",
+            ),
+            (
+                "bio_spoof_face",
+                lambda c: (
+                    c["attack"].update(influence="causative"),
+                    c["attack"]["capability"].update(affects_training=True, controllable_fraction={"train": {"M": 1.0}, "test": {"M": 1.0}}),
+                    c["attack"]["strategy"]["attacked_fraction"].update(train={"M": "strength"}),
+                ),
+                "strategy attacks M train samples but generator spoof_face replaces only M test samples",
+            ),
+            (
+                "spam_gwi_bwo",
+                lambda c: c.update(classifier={"family": "one_class_svm", "nu": 0.1, "gamma": 0.5}),
+                "generator gwi_bwo reads the parameters of a linear_svm or logistic_regression model (k.iv), not of a one_class_svm",
+            ),
+            ("ids_poison", lambda c: c["output"].update(directry="elsewhere"), "unknown output keys ['directry']"),
+            ("spam_gwi_bwo", lambda c: c["data"].update(vocab_sise=50), "unknown data keys ['vocab_sise']"),
+            ("spam_gwi_bwo", lambda c: c["attack"].update(strenght={"values": [0, 5]}), "unknown attack keys ['strenght']"),
+            ("ids_poison", lambda c: c["attack"]["strategy"].update(prior_overide=0.1), "unknown attack.strategy keys ['prior_overide']"),
+            ("ids_poison", lambda c: c.update(evalution={"seed": 1}), "unknown top-level keys ['evalution']"),
         ],
         ids=[
             "strength-above-hi", "collect-roc-not-numeric", "collect-roc-outside-range", "collect-roc-not-a-strength",
@@ -353,6 +388,8 @@ class TestValidateCommand:
             "classifier-key-typo", "evaluation-key-typo", "c-grid-not-a-list", "classifier-value-string",
             "epochs-not-integer", "attacked-fraction-above-one", "attacked-fraction-negative",
             "strength-fraction-above-one", "strength-prior-above-one",
+            "gwi-bwo-legitimate-test-cell", "poison-test-cell", "spoof-train-cell", "gwi-bwo-one-class-svm",
+            "output-key-typo", "data-key-typo", "attack-key-typo", "strategy-key-typo", "top-level-key-typo",
         ],
     )
     def test_validate_and_evaluate_reject_alike(self, name, edit, message, tmp_path, capsys):
@@ -501,7 +538,7 @@ class TestTableOneInstantiation:
         model = train_linear_svm(d_tr, 1.0)
         # training untouched: p_tr = p_D
         assert scen.untouched("train", 10, d_tr)
-        pools = build_scenario_pools(scen, "test", d_tr, d_ts, model, 10, 0)
+        pools = build_scenario_pools(scen, "test", d_ts, model, 10, 0)
         ts_spec, n = scenario_distribution_specs(scen, "test", 10, d_ts, pools)
         assert n == len(d_ts)
         # p_ts(Y) = p_D(Y); p_ts(A=T|L) = 0; p_ts(A=T|M) = 1
@@ -520,7 +557,7 @@ class TestTableOneInstantiation:
         folds = resample(table, Chronological(300), seed=1)
         d_tr, d_ts = folds.pairs[0]
         assert scen.untouched("train", 1.0, d_tr)  # p_tr = p_D
-        pools = build_scenario_pools(scen, "test", d_tr, d_ts, None, 1.0, 0)
+        pools = build_scenario_pools(scen, "test", d_ts, None, 1.0, 0)
         ts_spec, n = scenario_distribution_specs(scen, "test", 1.0, d_ts, pools)
         assert n == len(d_ts)
         assert ts_spec.prior_malicious == d_ts.empirical_prior_malicious()
@@ -535,7 +572,7 @@ class TestTableOneInstantiation:
         folds = resample(traffic, Chronological(100), seed=1)
         d_tr, d_ts = folds.pairs[0]
         assert scen.untouched("test", 0.4, d_ts)  # testing untouched: p_ts = p_D
-        pools = build_scenario_pools(scen, "train", d_tr, d_ts, None, 0.4, 0)
+        pools = build_scenario_pools(scen, "train", d_ts, None, 0.4, 0)
         tr_spec, n = scenario_distribution_specs(scen, "train", 0.4, d_tr, pools)
         # the legitimate part keeps the fold's expected size: n (1 - p_max) = len(d_tr)
         assert n == round(len(d_tr) / 0.6)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from clfsec.attacks import Trait, gwi_bwo_scenario, poison_scenario, spoof_scenario
 from clfsec.classifiers import ClassifierConfig, decision_scores, train_classifier
 from clfsec.cli import _ingest
 from clfsec.config import canned_config, parse_config
@@ -22,6 +21,8 @@ from clfsec.evaluation import (
     select_svm_c,
 )
 from clfsec.synth import synthetic_ids_traffic, synthetic_spam_corpus
+
+from canned import canned_scenario
 
 L, M = Label.LEGITIMATE, Label.MALICIOUS
 
@@ -148,7 +149,7 @@ class TestSecuritySweep:
 
     def test_strength_zero_equals_plain_evaluation(self):
         corpus, folds = self._spam()
-        scen = gwi_bwo_scenario(60)
+        scen = canned_scenario("spam_gwi_bwo", [0, 60])
         cfg = ClassifierConfig("linear_svm", {"c": 1.0})
         curve = security_sweep(folds, scen, cfg, [0, 2], Auc10(), seed=5)
         d_tr, d_ts = folds.pairs[0]
@@ -162,7 +163,7 @@ class TestSecuritySweep:
         _, folds = self._spam()
         with pytest.raises(ValueError, match="include 0"):
             security_sweep(
-                folds, gwi_bwo_scenario(60), ClassifierConfig("linear_svm", {"c": 1.0}),
+                folds, canned_scenario("spam_gwi_bwo", [0, 60]), ClassifierConfig("linear_svm", {"c": 1.0}),
                 [1, 2], Auc10(), seed=5,
             )
 
@@ -171,7 +172,7 @@ class TestSecuritySweep:
         folds = resample(traffic, Chronological(60), seed=42)
         with pytest.raises(ValueError, match=r"outside the scenario's p_max range"):
             security_sweep(
-                folds, poison_scenario(), ClassifierConfig("one_class_svm", {"nu": 0.1, "gamma": 0.5}),
+                folds, canned_scenario("ids_poison"), ClassifierConfig("one_class_svm", {"nu": 0.1, "gamma": 0.5}),
                 [0, 0.6], Auc10(), seed=5,
             )
 
@@ -180,15 +181,15 @@ class TestSecuritySweep:
         folds = resample(traffic, Chronological(120), seed=42)
         cfg = ClassifierConfig("one_class_svm", {"nu": 0.1, "gamma": 0.5})
         kw = dict(strengths=[0, 0.1, 0.2], metric=Auc10(), seed=11, repetitions=2)
-        a = security_sweep(folds, poison_scenario(), cfg, **kw)
-        b = security_sweep(folds, poison_scenario(), cfg, **kw)
-        c = security_sweep(folds, poison_scenario(), cfg, jobs=4, **kw)
+        a = security_sweep(folds, canned_scenario("ids_poison"), cfg, **kw)
+        b = security_sweep(folds, canned_scenario("ids_poison"), cfg, **kw)
+        c = security_sweep(folds, canned_scenario("ids_poison"), cfg, jobs=4, **kw)
         assert a == b == c
 
     def test_single_item_std_is_zero(self):
         _, folds = self._spam()
         curve = security_sweep(
-            folds, gwi_bwo_scenario(60), ClassifierConfig("linear_svm", {"c": 1.0}),
+            folds, canned_scenario("spam_gwi_bwo", [0, 60]), ClassifierConfig("linear_svm", {"c": 1.0}),
             [0], Auc10(), seed=5,
         )
         assert curve.k == 1 and curve.stds == (0.0,)
@@ -196,7 +197,7 @@ class TestSecuritySweep:
     def test_gwi_curve_nonincreasing(self):
         _, folds = self._spam()
         curve = security_sweep(
-            folds, gwi_bwo_scenario(60), ClassifierConfig("linear_svm", {"c": 1.0}),
+            folds, canned_scenario("spam_gwi_bwo", [0, 60]), ClassifierConfig("linear_svm", {"c": 1.0}),
             [0, 1, 2, 4, 8, 16, 32, 60], Auc10(), seed=5,
         )
         assert all(a >= b - 1e-15 for a, b in zip(curve.means, curve.means[1:]))
@@ -208,7 +209,7 @@ class TestSecuritySweep:
         table = synthetic_score_table(seed=11, n_genuine=200, n_impostor=800)
         folds = resample(table, CrossValidation(4), seed=42)
         curve = security_sweep(
-            folds, spoof_scenario(Trait.FINGERPRINT), ClassifierConfig("gamma_fusion", {}),
+            folds, canned_scenario("bio_spoof_fingerprint"), ClassifierConfig("gamma_fusion", {}),
             [0, 1], FarAtGar(0.9), seed=3,
         )
         assert curve.means[1] > curve.means[0]
@@ -217,11 +218,11 @@ class TestSecuritySweep:
         _, folds = self._spam()
         broken = ClassifierConfig("one_class_svm", {"nu": 1e-9, "gamma": 0.5})
         with pytest.raises(SweepError, match=r"fold 0, rep 0, training"):
-            security_sweep(folds, gwi_bwo_scenario(60), broken, [0], Auc10(), seed=5)
+            security_sweep(folds, canned_scenario("spam_gwi_bwo", [0, 60]), broken, [0], Auc10(), seed=5)
         traffic = synthetic_ids_traffic(seed=5, n_train=60, n_test_legit=60, n_test_malicious=20)
         ifolds = resample(traffic, Chronological(60), seed=42)
         with pytest.raises(SweepError, match=r"fold 0, rep 0, strength 0.2"):
-            security_sweep(ifolds, poison_scenario(), broken, [0.2, 0], Auc10(), seed=5)
+            security_sweep(ifolds, canned_scenario("ids_poison"), broken, [0.2, 0], Auc10(), seed=5)
 
     @pytest.mark.parametrize(
         "name, strengths", [("ids_poison", [0, 0.5]), ("bio_spoof_fingerprint", [0, 1])]
@@ -242,7 +243,7 @@ class TestSecuritySweep:
     def test_inconsistent_scenario_rejected(self):
         from clfsec.attacks import AttackScenario, Knowledge
 
-        scen = gwi_bwo_scenario(60)
+        scen = canned_scenario("spam_gwi_bwo", [0, 60])
         blind = AttackScenario(
             name="blind", influence=scen.influence, violation=scen.violation,
             specificity=scen.specificity, knowledge=Knowledge(),

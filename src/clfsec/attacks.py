@@ -256,16 +256,15 @@ def gwi_bwo_pool(source: Dataset, model: LinearModel, n_max: int) -> Dataset:
     if n_max > X.shape[1]:
         raise ValueError(f"n_max={n_max} exceeds dimension {X.shape[1]}")
     order = np.argsort(-np.abs(w), kind="stable")
-    Xo = X[:, order]
-    wo = w[order]
-    cand = ((wo < 0.0) & (Xo == 0.0)) | ((wo > 0.0) & (Xo == 1.0))
-    flip = cand & (np.cumsum(cand, axis=1) <= n_max)
-    attacked = Xo.copy()
+    cand = ((w < 0.0) & (X == 0.0)) | ((w > 0.0) & (X == 1.0))
+    cand_o = cand[:, order]  # scan order: decreasing |w|, ties by index
+    rank = cand_o.astype(np.int32)
+    np.cumsum(rank, axis=1, out=rank)  # candidates among the columns scanned so far
+    flip = (cand_o & (rank <= n_max))[:, np.argsort(order)]  # back to column order
+    attacked = X.copy()
     attacked[flip] = 1.0 - attacked[flip]
-    restored = np.empty_like(attacked)
-    restored[:, order] = attacked
     return Dataset(
-        restored,
+        attacked,
         source.label_codes.copy(),
         np.ones(len(source), dtype=np.uint8),
     )

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -101,11 +103,11 @@ def tokenize_emails(index_path: str | Path) -> tuple[list[frozenset[str]], list[
             if len(parts) != 2:
                 raise ValueError(f"malformed index line {lineno} in {index_path}")
             lab = _parse_label(parts[0], f"{index_path}:{lineno}")
-            doc_path = (index_path.parent / parts[1]).resolve()
+            doc_path = index_path.parent / parts[1]
             try:
                 text = doc_path.read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError) as exc:
-                warnings.warn(f"skipping {doc_path}: {exc}", stacklevel=2)
+                warnings.warn(f"skipping {doc_path.resolve()}: {exc}", stacklevel=2)
                 skipped += 1
                 continue
             token_sets.append(tokenize_text(text))
@@ -143,7 +145,11 @@ def _label_code(label: Label) -> int:
 def information_gain_select(
     token_sets: Sequence[frozenset[str]], labels: Sequence[Label], vocab_size: int
 ) -> Vocabulary:
-    """Rank terms by IG(term) = H(Y) - H(Y | term presence); keep the top ones."""
+    """Rank terms by IG(term) = H(Y) - H(Y | term presence); keep the top ones.
+
+    A term's gain depends only on its count pair (documents present,
+    malicious documents present), so it is computed once per distinct pair.
+    """
     labs = [_label_code(l) for l in labels]
     n = len(labs)
     n_m = sum(labs)
@@ -152,32 +158,34 @@ def information_gain_select(
         raise ValueError("information gain needs both classes present")
     h_y = _entropy(np.array([n_l, n_m], dtype=np.float64))
 
-    present_m: dict[str, int] = {}
-    present_any: dict[str, int] = {}
-    for toks, y in zip(token_sets, labs):
-        for t in toks:
-            present_any[t] = present_any.get(t, 0) + 1
-            if y:
-                present_m[t] = present_m.get(t, 0) + 1
+    present_m = Counter(chain.from_iterable(t for t, y in zip(token_sets, labs) if y))
+    present = Counter(chain.from_iterable(t for t, y in zip(token_sets, labs) if not y))
+    present.update(present_m)
 
-    gains: list[tuple[float, str]] = []
-    for term, n_p in present_any.items():
-        m_p = present_m.get(term, 0)
-        cond = np.array(
-            [[n_p - m_p, m_p], [n_l - (n_p - m_p), n_m - m_p]], dtype=np.float64
-        )  # rows: present / absent; cols: L / M
-        h_cond = sum(row.sum() / n * _entropy(row) for row in cond)
-        gains.append((h_y - h_cond, term))
+    # (-gain, term) pairs; the negated gain is a plain float, so the sort
+    # compares floats directly instead of numpy scalars
+    neg_gain_of: dict[tuple[int, int], float] = {}
+    ranked: list[tuple[float, str]] = []
+    for term, n_p in present.items():
+        m_p = present_m[term]
+        neg_gain = neg_gain_of.get((n_p, m_p))
+        if neg_gain is None:
+            cond = np.array(
+                [[n_p - m_p, m_p], [n_l - (n_p - m_p), n_m - m_p]], dtype=np.float64
+            )  # rows: present / absent; cols: L / M
+            h_cond = sum(row.sum() / n * _entropy(row) for row in cond)
+            neg_gain = neg_gain_of[n_p, m_p] = -float(h_y - h_cond)
+        ranked.append((neg_gain, term))
 
-    gains.sort(key=lambda g: (-g[0], g[1]))
-    if vocab_size > len(gains):
+    ranked.sort()  # descending gain, ties lexicographic
+    if vocab_size > len(ranked):
         warnings.warn(
-            f"vocab_size {vocab_size} exceeds the {len(gains)} distinct terms; keeping all",
+            f"vocab_size {vocab_size} exceeds the {len(ranked)} distinct terms; keeping all",
             stacklevel=2,
         )
-        vocab_size = len(gains)
-    top = gains[:vocab_size]
-    return Vocabulary(terms=tuple(t for _, t in top), gains=tuple(g for g, _ in top))
+        vocab_size = len(ranked)
+    top = ranked[:vocab_size]
+    return Vocabulary(terms=tuple(t for _, t in top), gains=tuple(-g for g, _ in top))
 
 
 def vectorize_corpus(
@@ -186,10 +194,7 @@ def vectorize_corpus(
     idx = vocab.index()
     X = np.zeros((len(token_sets), len(vocab)))
     for r, toks in enumerate(token_sets):
-        for t in toks:
-            i = idx.get(t)
-            if i is not None:
-                X[r, i] = 1.0
+        X[r, [idx[t] for t in toks & idx.keys()]] = 1.0
     return Dataset.from_arrays(X, list(labels))
 
 

@@ -2,8 +2,9 @@
 
 These deliberately share no code with the implementations they verify:
 the QP oracle is an accelerated projected-gradient method on the raw dual,
-the attack oracle enumerates the whole Hamming ball, and KKT residuals are
-computed straight from the optimality conditions.
+the attack oracle enumerates the whole Hamming ball, KKT residuals are
+computed straight from the optimality conditions, and the information-gain
+reference scores every term on its own with a per-term loop.
 """
 
 from __future__ import annotations
@@ -138,3 +139,42 @@ def hamming_ball_minimum(x: np.ndarray, w: np.ndarray, w0: float, n_max: int) ->
     flips = bits[popcount <= n_max]
     candidates = np.abs(x[None, :] - flips)  # flip x where the mask is set
     return float((candidates @ w).min() + w0)
+
+
+def _entropy_bits(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts[counts > 0] / total
+    return float(-(p * np.log2(p)).sum())
+
+
+def information_gain_reference(
+    token_sets, malicious: list[bool], vocab_size: int
+) -> tuple[tuple[str, ...], tuple[float, ...]]:
+    """Top ``vocab_size`` terms by IG, ties lexicographic, one gain per term.
+
+    Counts each term's presence in a dict loop and evaluates the entropy
+    expression per term, with the same float operations in the same order
+    as the library, so gains agree to the last bit.
+    """
+    n = len(malicious)
+    n_m = sum(1 for y in malicious if y)
+    n_l = n - n_m
+    h_y = _entropy_bits(np.array([n_l, n_m], dtype=np.float64))
+    present_m: dict[str, int] = {}
+    present_any: dict[str, int] = {}
+    for toks, y in zip(token_sets, malicious):
+        for t in toks:
+            present_any[t] = present_any.get(t, 0) + 1
+            if y:
+                present_m[t] = present_m.get(t, 0) + 1
+    gains = []
+    for term, n_p in present_any.items():
+        m_p = present_m.get(term, 0)
+        cond = np.array([[n_p - m_p, m_p], [n_l - (n_p - m_p), n_m - m_p]], dtype=np.float64)
+        h_cond = sum(row.sum() / n * _entropy_bits(row) for row in cond)
+        gains.append((h_y - h_cond, term))
+    gains.sort(key=lambda g: (-g[0], g[1]))
+    top = gains[:vocab_size]
+    return tuple(t for _, t in top), tuple(g for g, _ in top)

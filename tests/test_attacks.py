@@ -104,16 +104,25 @@ class TestGwiBwo:
             prev = g
 
     def test_pool_matches_per_sample_attack(self, rng):
-        w = rng.normal(size=10)
-        X = (rng.random((20, 10)) < 0.5).astype(float)
+        d = 10
+        generic = rng.normal(size=d)
+        # exact zeros and equal |w| exercise the stable tie order
+        ties = np.array([0.0, 1.0, -1.0, 2.0, -2.0, 0.0, 1.0, -1.0, -2.0, 1.0])
+        X = (rng.random((20, d)) < 0.5).astype(float)
         src = Dataset.from_arrays(X, [M] * 20)
-        m = model(w)
-        pool = gwi_bwo_pool(src, m, n_max=3)
-        assert np.all(pool.flag_codes == 1)
-        for i in range(20):
-            np.testing.assert_array_equal(
-                pool.features[i], gwi_bwo_attack(X[i], m, AttackBudget(3))
-            )
+        before = (src.features.copy(), src.label_codes.copy(), src.flag_codes.copy())
+        for w in (generic, ties):
+            m = model(w)
+            for n_max in range(d + 1):
+                pool = gwi_bwo_pool(src, m, n_max=n_max)
+                assert np.all(pool.flag_codes == 1)
+                np.testing.assert_array_equal(pool.label_codes, src.label_codes)
+                for i in range(20):
+                    np.testing.assert_array_equal(
+                        pool.features[i], gwi_bwo_attack(X[i], m, AttackBudget(n_max))
+                    )
+        for got, want in zip((src.features, src.label_codes, src.flag_codes), before):
+            np.testing.assert_array_equal(got, want)  # the source is not mutated
 
 
 class TestSpoofing:

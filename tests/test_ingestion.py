@@ -1,4 +1,7 @@
+import hashlib
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from clfsec.ingestion import (
     write_dense_csv,
     write_sparse,
 )
+
+from oracles import information_gain_reference
 
 L, M = Label.LEGITIMATE, Label.MALICIOUS
 
@@ -52,6 +57,26 @@ class TestTokenizer:
         assert skipped == 1
         assert labels == [M, L]
         assert token_sets[0] == {"buy", "viagra", "now"}
+
+    def test_index_in_subdirectory_with_parent_paths(self, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        data.mkdir()
+        (tmp_path / "full").mkdir()
+        texts = {"a.txt": "Buy cheap meds now", "b.txt": "Agenda for the meeting, attached."}
+        for name, text in texts.items():
+            (data / name).write_text(text, encoding="utf-8")
+        (tmp_path / "full" / "index").write_text(
+            "spam ../data/a.txt\nham ../data/missing.txt\nham ../full/../data/b.txt\n",
+            encoding="utf-8",
+        )
+        monkeypatch.chdir(tmp_path)  # a relative index path still yields an absolute name
+        with pytest.warns(UserWarning, match="skipping") as record:
+            token_sets, labels, skipped = tokenize_emails("full/index")
+        assert skipped == 1
+        assert labels == [M, L]
+        assert token_sets == [tokenize_text(texts["a.txt"]), tokenize_text(texts["b.txt"])]
+        (message,) = [str(w.message) for w in record]
+        assert message.startswith(f"skipping {(data / 'missing.txt').resolve()}: ")
 
 
 class TestInformationGain:
@@ -118,6 +143,39 @@ class TestInformationGain:
         assert all(g >= -1e-15 for g in vocab.gains)
 
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_docs=st.integers(2, 30),
+        n_patterns=st.integers(1, 6),
+        n_terms=st.integers(1, 60),
+        vocab_size=st.integers(1, 70),
+    )
+    def test_matches_per_term_reference(self, seed, n_docs, n_patterns, n_terms, vocab_size):
+        # few presence patterns over many terms: most terms share their
+        # (docs present, malicious docs present) pair and so tie on gain,
+        # and short names over two letters make the lexicographic tie order matter
+        rng = np.random.default_rng(seed)
+        malicious = rng.random(n_docs) < 0.5
+        malicious[:2] = [True, False]
+        patterns = rng.random((n_patterns, n_docs)) < rng.uniform(0.05, 0.95, size=(n_patterns, 1))
+        names = [bin(k + 2)[3:].replace("0", "a").replace("1", "b") for k in range(n_terms)]
+        term_pattern = rng.integers(0, n_patterns, size=len(names))
+        token_sets = [
+            frozenset(t for t, p in zip(names, term_pattern) if patterns[p, r]) for r in range(n_docs)
+        ]
+        labels = [M if y else L for y in malicious]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                vocab = information_gain_select(token_sets, labels, vocab_size)
+            except ValueError:
+                assert not any(token_sets)  # no term at all: nothing to rank
+                return
+        terms, gains = information_gain_reference(token_sets, malicious.tolist(), vocab_size)
+        assert vocab.terms == terms
+        assert vocab.gains == gains
+
+
 class TestVectorize:
     VOCAB = Vocabulary(terms=("alpha", "beta", "gamma"), gains=(0.5, 0.3, 0.1))
 
@@ -138,6 +196,26 @@ class TestVectorize:
         ds = vectorize_corpus([frozenset({"alpha"}), frozenset({"beta", "zz"})], [M, L], self.VOCAB)
         assert ds.dimension == 3
         np.testing.assert_array_equal(ds.features, [[1, 0, 0], [0, 1, 0]])
+
+    def test_out_of_vocabulary_documents(self):
+        token_sets = [frozenset({"delta", "zz"}), frozenset(), frozenset({"beta"}), frozenset({"x"})]
+        ds = vectorize_corpus(token_sets, [M, L, M, L], self.VOCAB)
+        assert ds.features.shape == (4, 3)
+        np.testing.assert_array_equal(ds.features, [[0, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 0]])
+        assert ds.label_codes.tolist() == [1, 0, 1, 0]
+
+    @given(seed=st.integers(0, 2**32 - 1), n_docs=st.integers(1, 25), n_vocab=st.integers(0, 12))
+    def test_matches_dense_reference(self, seed, n_docs, n_vocab):
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}" for i in range(16)]
+        terms = tuple(rng.permutation(words)[:n_vocab].tolist())
+        vocab = Vocabulary(terms=terms, gains=tuple(1.0 / (i + 1) for i in range(len(terms))))
+        token_sets = [frozenset(w for w in words if rng.random() < 0.4) for _ in range(n_docs)]
+        labels = [M if rng.random() < 0.5 else L for _ in range(n_docs)]
+        ds = vectorize_corpus(token_sets, labels, vocab)
+        want = np.array([[1.0 if t in toks else 0.0 for t in terms] for toks in token_sets])
+        assert ds.features.dtype == np.float64
+        np.testing.assert_array_equal(ds.features, want.reshape(n_docs, len(terms)))
 
 
 class TestPayloadHistogram:
@@ -261,3 +339,52 @@ class TestTabularIO:
         write_dense_csv(ds, path)
         back = load_tabular(path)
         assert np.all(back.flag_codes == 0)  # provenance is in-process only
+
+
+class TestEmailPathGolden:
+    """Real email ingestion (tokenize -> IG -> vectorize) on a seeded corpus.
+
+    The canned spam scenarios read ``synthetic-spam`` features, so this is
+    the tier-1 guard for the email path.  The hashes pin the vocabulary
+    (terms and the ``repr`` of every gain as a Python float) and the design matrix; a change
+    that moves them changes every spam curve built from email files.
+    """
+
+    VOCAB_SHA256 = "dee8c5cf45f8449df27bdf35293d56bbb734c440a45ab3db364deebc04e6d2e5"
+    MATRIX_SHA256 = "146e94af06b89cb913045bb7b2fddcfbef5a783a33747cd1c3e3eba5c45bf976"
+
+    @staticmethod
+    def _write_corpus(root, seed=2024, n_docs=300):
+        rnd = random.Random(seed)
+        neutral = [f"n{i}" for i in range(1500)]
+        spam_words = [f"s{i}" for i in range(60)]
+        ham_words = [f"h{i}" for i in range(60)]
+        data = root / "data"
+        data.mkdir()
+        (root / "full").mkdir()
+        lines = []
+        for i in range(n_docs):
+            spam = rnd.random() < 0.5
+            words = [neutral[int(len(neutral) * rnd.random() ** 3)] for _ in range(rnd.randrange(20, 60))]
+            mine, theirs = (spam_words, ham_words) if spam else (ham_words, spam_words)
+            words += [w for w in mine if rnd.random() < 0.12]
+            words += [w for w in theirs if rnd.random() < 0.03]
+            rnd.shuffle(words)
+            text = f"Subject: {' '.join(words[:5])}\n\n{', '.join(words[5:])}!\n"
+            (data / f"msg.{i}").write_text(text, encoding="utf-8")
+            lines.append(f"{'spam' if spam else 'ham'} ../data/msg.{i}\n")
+        index = root / "full" / "index"
+        index.write_text("".join(lines), encoding="utf-8")
+        return index
+
+    def test_vocabulary_and_matrix_pinned(self, tmp_path):
+        token_sets, labels, skipped = tokenize_emails(self._write_corpus(tmp_path))
+        assert skipped == 0 and len(token_sets) == 300
+        vocab = information_gain_select(token_sets, labels, 200)
+        ds = vectorize_corpus(token_sets, labels, vocab)
+        vocab_text = "\n".join(f"{t} {float(g)!r}" for t, g in zip(vocab.terms, vocab.gains))
+        matrix = hashlib.sha256(repr(ds.features.shape).encode())
+        matrix.update(ds.features.astype("<f8").tobytes())
+        matrix.update(ds.label_codes.tobytes())
+        assert hashlib.sha256(vocab_text.encode()).hexdigest() == self.VOCAB_SHA256
+        assert matrix.hexdigest() == self.MATRIX_SHA256

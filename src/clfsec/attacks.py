@@ -11,7 +11,9 @@ this module also decides what a scenario does to each phase: whether the
 resampled set is left as it is (:meth:`AttackScenario.untouched`), the
 attacked pools (:func:`build_scenario_pools`), and the phase's distribution
 spec and set size (:func:`scenario_distribution_specs`), which the sweep
-only samples from.
+only samples from.  Whether a scenario can be swept at all over given
+strength values against a classifier family is decided here too
+(:func:`sweep_problems`), for the config parser and the sweep alike.
 
 :data:`GENERATORS` names every attack generator and says which phase's
 malicious samples it replaces.  Three families are implemented, one per
@@ -32,7 +34,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Mapping, Union
+from typing import Any, Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -64,6 +66,7 @@ __all__ = [
     "AttackGenerator",
     "GENERATORS",
     "check_scenario_consistency",
+    "sweep_problems",
     "build_scenario_pools",
     "scenario_distribution_specs",
 ]
@@ -299,14 +302,13 @@ def build_spoof_pool(
     impostor_pool: Dataset,
     genuine_pool: Dataset,
     trait: Trait,
-    seed: int | np.random.Generator,
+    rng: np.random.Generator,
 ) -> Dataset:
     """One spoofed sample per impostor, each targeting a uniformly drawn genuine user."""
     if len(genuine_pool) == 0:
         raise ValueError("empty genuine pool: no spoof targets available")
     if len(impostor_pool) == 0:
         raise ValueError("empty impostor pool")
-    rng = seed if isinstance(seed, np.random.Generator) else derive_rng(seed, "spoof")
     targets = rng.integers(0, len(genuine_pool), size=len(impostor_pool))
     idx = _TRAIT_INDEX[trait]
     feats = impostor_pool.features.copy()
@@ -416,6 +418,27 @@ def check_scenario_consistency(scenario: AttackScenario) -> list[str]:
     if generator.reads_model and not scenario.knowledge.parameters:
         violations.append(f"generator {strat.generator} requires parameter knowledge (k.iv)")
     return violations
+
+
+def sweep_problems(scenario: AttackScenario, strengths: Sequence[float], family: str | None) -> list[str]:
+    """Why the scenario cannot be swept over these strengths against a ``family`` classifier; empty when it can."""
+    problems = []
+    if 0.0 not in strengths:
+        problems.append("strength values must include 0")
+    lo, hi = scenario.strength.lo, scenario.strength.hi
+    outside = [s for s in strengths if not lo <= s <= hi]
+    if outside:
+        problems.append(
+            f"strength values {outside} outside the scenario's {scenario.strength.name} range [{lo:g}, {hi:g}]"
+        )
+    problems.extend(f"inconsistent scenario: {v}" for v in check_scenario_consistency(scenario))
+    generator = scenario.strategy.generator
+    reads = GENERATORS[generator].reads_model if generator in GENERATORS else ()
+    if reads and family not in reads:
+        problems.append(
+            f"generator {generator} reads the parameters of a {' or '.join(reads)} model (k.iv), not of a {family}"
+        )
+    return problems
 
 
 def build_scenario_pools(

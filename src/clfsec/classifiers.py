@@ -276,16 +276,16 @@ def logistic_loss_gradient(
 
 def train_logistic_regression(
     train: Dataset,
-    learning_rate_schedule: float | Callable[[int], float] = 0.1,
+    learning_rate_schedule: float = 0.1,
     epochs: int = 10,
     seed: int = 0,
 ) -> LinearModel:
     """Online (single-sample) gradient descent on the logistic loss.
 
-    A float schedule argument eta0 means eta_t = eta0 / (1 + t/T) with T
-    the training-set size and t the global update counter; a callable is
-    used directly.  Weights start at zero, sample order is reshuffled each
-    epoch from ``seed``, and no regularization is applied.
+    The schedule argument eta0 means eta_t = eta0 / (1 + t/T) with T the
+    training-set size and t the global update counter.  Weights start at
+    zero, sample order is reshuffled each epoch from ``seed``, and no
+    regularization is applied.
     """
     counts = train.class_counts()
     if min(counts.values()) == 0:
@@ -295,11 +295,7 @@ def train_logistic_regression(
     X = train.features
     z = train.signed_labels()
     n, d = X.shape
-    if callable(learning_rate_schedule):
-        rate = learning_rate_schedule
-    else:
-        eta0 = float(learning_rate_schedule)
-        rate = lambda t: eta0 / (1.0 + t / n)  # noqa: E731
+    eta0 = float(learning_rate_schedule)
 
     rng = derive_rng(seed, "train")
     w = np.zeros(d)
@@ -309,7 +305,7 @@ def train_logistic_regression(
         for i in rng.permutation(n):
             margin = z[i] * (X[i] @ w + b)
             p = float(np.exp(-np.logaddexp(0.0, margin)))
-            eta = rate(t)
+            eta = eta0 / (1.0 + t / n)
             w += eta * z[i] * p * X[i]
             b += eta * z[i] * p
             t += 1

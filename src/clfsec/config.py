@@ -17,7 +17,6 @@ from typing import Any, Callable, Mapping
 import yaml
 
 from .attacks import (
-    GENERATORS,
     STRENGTH,
     AttackScenario,
     Capability,
@@ -26,11 +25,12 @@ from .attacks import (
     Strategy,
     StrengthParam,
     Violation,
+    sweep_problems,
 )
 from . import synth
 from .classifiers import CLASSIFIER_PARAMS, ClassifierConfig
 from .data_model import Bootstrap, Chronological, CrossValidation, Label, ResampleMethod
-from .evaluation import Auc10, FarAtGar, Metric, _sweep_problems
+from .evaluation import Auc10, FarAtGar, Metric
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -168,17 +168,8 @@ def parse_config(cfg: Mapping, base_dir: Path = Path()) -> RunConfig:
         fields["strengths"] = tuple(float(s) for s in attack["strength"]["values"])
     except (KeyError, TypeError, ValueError):
         fields["strengths"] = ()
-    if 0.0 not in fields["strengths"]:
-        problems.append("attack.strength.values must be a numeric list including 0")
     if "scenario" in fields:
-        problems.extend(_sweep_problems(fields["scenario"], fields["strengths"]))
-        generator = fields["scenario"].strategy.generator
-        reads = GENERATORS[generator].reads_model if generator in GENERATORS else ()
-        if reads and "classifier" in fields and fields["classifier"].family not in reads:
-            problems.append(
-                f"generator {generator} reads the parameters of a {' or '.join(reads)} model (k.iv), "
-                f"not of a {fields['classifier'].family}"
-            )
+        problems.extend(sweep_problems(fields["scenario"], fields["strengths"], cfg["classifier"].get("family")))
     parse("metric", metric_from_config, ev)
     parse("seed", _integer, ev.get("seed", 0), "evaluation.seed")
     parse("repetitions", _integer, ev.get("repetitions", 1), "evaluation.repetitions", 1)

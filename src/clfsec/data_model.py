@@ -30,6 +30,7 @@ __all__ = [
     "AttackFlag",
     "Sample",
     "Dataset",
+    "encode_labels",
     "DiagonalGaussian",
     "GammaProduct",
     "Analytic",
@@ -71,6 +72,21 @@ class AttackFlag(enum.Enum):
 _LABELS = (Label.LEGITIMATE, Label.MALICIOUS)
 _LABEL_CODE = {Label.LEGITIMATE: 0, Label.MALICIOUS: 1}
 _FLAG_CODE = {AttackFlag.CLEAN: 0, AttackFlag.ATTACKED: 1}
+
+
+def encode_labels(labels: Sequence[Label | str] | np.ndarray) -> np.ndarray:
+    """0/1 class codes (1 = malicious) of labels given as ``Label`` members, their values or codes.
+
+    Raises ``ValueError`` on anything else, such as ``"X"`` or a code of 2.
+    """
+    arr = np.asarray(labels)
+    if arr.dtype == object or arr.dtype.kind == "U":
+        return np.array([_LABEL_CODE[Label(l)] for l in labels], dtype=np.uint8)
+    if not np.all((arr == 0) | (arr == 1)):
+        raise ValueError("label codes must be 0 (legitimate) or 1 (malicious)")
+    return arr.astype(np.uint8)
+
+
 # fixed cell order used by the sampler's feature stream
 _CELL_ORDER = (
     (Label.LEGITIMATE, AttackFlag.CLEAN),
@@ -129,10 +145,7 @@ class Dataset:
         flags: Sequence[AttackFlag] | np.ndarray | None = None,
     ) -> "Dataset":
         features = np.asarray(features, dtype=np.float64)
-        if isinstance(labels, np.ndarray) and labels.dtype != object:
-            labs = labels.astype(np.uint8)
-        else:
-            labs = np.array([_LABEL_CODE[l] for l in labels], dtype=np.uint8)
+        labs = encode_labels(labels)
         if flags is None:
             flg = np.zeros(len(features), dtype=np.uint8)
         elif isinstance(flags, np.ndarray) and flags.dtype != object:
@@ -185,13 +198,8 @@ class Dataset:
     def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.features[indices], self.label_codes[indices], self.flag_codes[indices])
 
-    def restrict(self, label: Label | None = None, flag: AttackFlag | None = None) -> "Dataset":
-        mask = np.ones(len(self), dtype=bool)
-        if label is not None:
-            mask &= self.label_codes == _LABEL_CODE[label]
-        if flag is not None:
-            mask &= self.flag_codes == _FLAG_CODE[flag]
-        return self.subset(np.flatnonzero(mask))
+    def restrict(self, label: Label) -> "Dataset":
+        return self.subset(np.flatnonzero(self.label_codes == _LABEL_CODE[label]))
 
     def is_binary(self) -> bool:
         return bool(np.all((self.features == 0.0) | (self.features == 1.0)))
@@ -319,10 +327,9 @@ class EmpiricalPool:
 
 @dataclass(frozen=True)
 class GeneratorComponent:
-    """Attack samples produced online by a generator over a source pool."""
+    """Attack samples produced online by a generator."""
 
     generator: OnlineGenerator
-    source: Dataset | None = None
 
 
 Component = Union[Analytic, EmpiricalPool, GeneratorComponent]

@@ -2,15 +2,16 @@
 
 A security evaluation measures a classifier's performance metric as a
 function of attack strength, averaged over resampled (train, test) pairs.
-Exploratory scenarios train once per fold and reuse the model across
-strength values (training data does not depend on the strength there);
-causative scenarios retrain at every strength.  What an attack does to a
-training or testing phase (left untouched, or its attacked pools,
-distribution spec and set size) is decided in :mod:`.attacks`; this module
-only samples the sets, trains and scores.  The sweep keeps the scores
-of work item (fold 0, repetition 0), and the reports' ROCs are built from
-them, so each reported ROC comes from the model and testing set the sweep
-scored at that strength; no item is run twice.
+An item retrains only when its training set changes: an exploratory
+scenario leaves the training fold untouched, so each item trains once,
+while a causative one retrains at each strength whose attack changes the
+training set.  Whether a scenario can be swept at all, and what an attack
+does to a training or testing phase (left untouched, or its attacked
+pools, distribution spec and set size), are decided in :mod:`.attacks`;
+this module only samples the sets, trains and scores.  The sweep keeps the
+scores of work item (fold 0, repetition 0), and the reports' ROCs are
+built from them, so each reported ROC comes from the model and testing
+set the sweep scored at that strength; no item is run twice.
 
 ROC curves are exact step/trapezoid constructions: samples tied on the
 score move as one block, which makes every derived quantity invariant
@@ -29,8 +30,8 @@ import numpy as np
 from .attacks import (
     AttackScenario,
     build_scenario_pools,
-    check_scenario_consistency,
     scenario_distribution_specs,
+    sweep_problems,
 )
 from .classifiers import (
     CLASSIFIER_PARAMS,
@@ -39,7 +40,7 @@ from .classifiers import (
     train_classifier,
     train_linear_svm,
 )
-from .data_model import CrossValidation, Dataset, FoldSet, Label, resample, sample_dataset
+from .data_model import CrossValidation, Dataset, FoldSet, encode_labels, resample, sample_dataset
 from .rng import derive_subseed
 
 __all__ = [
@@ -77,21 +78,15 @@ class FarAtGarResult(NamedTuple):
     reachable: bool
 
 
-def _label_codes(labels) -> np.ndarray:
-    arr = np.asarray(labels)
-    if arr.dtype == object or arr.dtype.kind == "U":
-        return np.array([1 if (l is Label.MALICIOUS or l == "M") else 0 for l in labels], dtype=np.uint8)
-    return arr.astype(np.uint8)
-
-
 def roc(scores, labels) -> RocCurve:
     """Exact ROC from scores oriented larger = more malicious.
 
     Tied scores are grouped, so the curve walks one diagonal segment per
-    tie block.
+    tie block.  ``labels`` are ``Label`` members, their values or 0/1
+    codes; anything else raises ``ValueError``.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    codes = _label_codes(labels)
+    codes = encode_labels(labels)
     n_m = int(codes.sum())
     n_l = int(len(codes) - n_m)
     if n_m == 0 or n_l == 0:
@@ -135,16 +130,14 @@ def far_at_gar(curve: RocCurve, gar: float) -> FarAtGarResult:
     if not 0.0 < gar <= 1.0:
         raise ValueError("gar must be in (0, 1]")
     fp, tp = curve.fp, curve.tp
-    if tp[0] >= gar:
-        return FarAtGarResult(float(fp[0]), True)
-    for i in range(1, len(fp)):
-        if tp[i] >= gar:
-            if fp[i] == fp[i - 1] or tp[i] == tp[i - 1]:
-                return FarAtGarResult(float(fp[i]), True)
-            frac = (gar - tp[i - 1]) / (tp[i] - tp[i - 1])
-            return FarAtGarResult(float(fp[i - 1] + frac * (fp[i] - fp[i - 1])), True)
-    warnings.warn(f"GAR {gar} unreachable on this curve", RuntimeWarning, stacklevel=2)
-    return FarAtGarResult(1.0, False)
+    i = int(np.argmax(tp >= gar))  # the first point reaching gar; 0 when none does
+    if tp[i] < gar:
+        warnings.warn(f"GAR {gar} unreachable on this curve", RuntimeWarning, stacklevel=2)
+        return FarAtGarResult(1.0, False)
+    if i == 0 or fp[i] == fp[i - 1] or tp[i] == tp[i - 1]:
+        return FarAtGarResult(float(fp[i]), True)
+    frac = (gar - tp[i - 1]) / (tp[i] - tp[i - 1])
+    return FarAtGarResult(float(fp[i - 1] + frac * (fp[i] - fp[i - 1])), True)
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +278,6 @@ class SweepError(RuntimeError):
     pass
 
 
-def _sweep_problems(scenario: AttackScenario, strengths: Sequence[float]) -> list[str]:
-    """Why the scenario cannot be swept over these strengths; empty when it can."""
-    lo, hi = scenario.strength.lo, scenario.strength.hi
-    problems = []
-    outside = [s for s in strengths if not lo <= s <= hi]
-    if outside:
-        problems.append(
-            f"strength values {outside} outside the scenario's {scenario.strength.name} range [{lo:g}, {hi:g}]"
-        )
-    problems.extend(f"inconsistent scenario: {v}" for v in check_scenario_consistency(scenario))
-    return problems
-
-
 def _resolve_classifier(config: ClassifierConfig, train: Dataset, seed: int) -> ClassifierConfig:
     """Replace a C grid with the cross-validated choice on this training set."""
     if config.family == "linear_svm" and "c_grid" in config.params:
@@ -347,8 +327,10 @@ def _evaluate_item(
     phase (:mod:`.attacks`): a phase it leaves untouched uses the resampled
     set directly, so the strength-0 entry coincides with classical
     performance evaluation; otherwise its attacked pools and distribution
-    spec give the set size, and this function only samples the set.
-    Exploratory scenarios train once and reuse the model across strengths.
+    spec give the set size, and this function only samples the set.  The
+    model is retrained only when the training set changes: the untouched
+    fold is the same set at every strength, while a sampled set is new, so
+    an item of an exploratory scenario trains once.
     """
     d_tr, d_ts = folds.pairs[fi]
     tr_seed = derive_subseed(seed, "fold", fi, "rep", rep, "tr")
@@ -366,21 +348,16 @@ def _evaluate_item(
     def train(tr: Dataset):
         return train_classifier(_resolve_classifier(classifier_config, tr, train_seed), tr, seed=train_seed)
 
-    model = None
-    if not scenario.affects("train"):
-        try:
-            model = train(d_tr)
-        except Exception as exc:
-            raise SweepError(f"fold {fi}, rep {rep}, training: {exc}") from exc
-
+    model, on_fold = None, False  # on_fold: the model was trained on the untouched fold
     out = []
     for s in strengths:
         try:
-            item_model = model
-            if scenario.affects("train"):
-                item_model = train(attacked_set("train", s, d_tr, None, tr_seed))
-            ts = attacked_set("test", s, d_ts, item_model, ts_seed)
-            out.append((decision_scores(item_model, ts.features), ts.label_codes))
+            tr = attacked_set("train", s, d_tr, None, tr_seed)
+            if not (on_fold and tr is d_tr):  # a sampled training set is new at every strength
+                model, on_fold = train(tr), tr is d_tr
+            del tr  # not held while the testing set is built and scored: it would raise peak memory
+            ts = attacked_set("test", s, d_ts, model, ts_seed)
+            out.append((decision_scores(model, ts.features), ts.label_codes))
         except Exception as exc:
             raise SweepError(f"fold {fi}, rep {rep}, strength {s:g}: {exc}") from exc
     return out
@@ -401,15 +378,15 @@ def security_sweep(
     Every (fold, repetition) work item is evaluated at each strength by
     :func:`_evaluate_item`.  The scores of item (fold 0, repetition 0) are
     kept on the returned curve, where :func:`scenario_roc` reads them.
+    A sweep that :func:`.attacks.sweep_problems` rejects raises
+    ``ValueError`` listing every problem before any item runs.
 
     Work items are independent; ``jobs`` bounds concurrency and never
     changes the result (values land in a preallocated array and are
     aggregated in fixed order).
     """
     strengths = [float(s) for s in strengths]
-    if not any(s == 0.0 for s in strengths):
-        raise ValueError("strength values must include 0")
-    problems = _sweep_problems(scenario, strengths)
+    problems = sweep_problems(scenario, strengths, classifier_config.family)
     if problems:
         raise ValueError("; ".join(problems))
     if repetitions < 1:

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data_model import Dataset, Label
+from .data_model import Dataset, Label, encode_labels
 
 __all__ = [
     "Vocabulary",
@@ -138,10 +138,6 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def _label_code(label: Label) -> int:
-    return 1 if label is Label.MALICIOUS else 0
-
-
 def information_gain_select(
     token_sets: Sequence[frozenset[str]], labels: Sequence[Label], vocab_size: int
 ) -> Vocabulary:
@@ -150,7 +146,7 @@ def information_gain_select(
     A term's gain depends only on its count pair (documents present,
     malicious documents present), so it is computed once per distinct pair.
     """
-    labs = [_label_code(l) for l in labels]
+    labs = encode_labels(labels).tolist()  # Python ints: a sum of uint8 wraps at 256
     n = len(labs)
     n_m = sum(labs)
     n_l = n - n_m

@@ -19,7 +19,6 @@ Stream tag conventions used across the library:
 ``("resample",)``                       shuffles and bootstrap draws
 ``("train",)``                          classifier-internal randomness (e.g. LR shuffles)
 ``("cgrid-folds",)``                    folds of the SVM C-grid selection
-``("spoof",)``                          spoof targets when ``build_spoof_pool`` gets a seed
 ``("synthetic-spam",)`` etc.            the bundled synthetic sources
 ======================================  ==================================================
 """

@@ -3,8 +3,9 @@
 These deliberately share no code with the implementations they verify:
 the QP oracle is an accelerated projected-gradient method on the raw dual,
 the attack oracle enumerates the whole Hamming ball, KKT residuals are
-computed straight from the optimality conditions, and the information-gain
-reference scores every term on its own with a per-term loop.
+computed straight from the optimality conditions, the information-gain
+reference scores every term on its own with a per-term loop, and the
+FAR-at-GAR reference walks the ROC point by point.
 """
 
 from __future__ import annotations
@@ -178,3 +179,20 @@ def information_gain_reference(
     gains.sort(key=lambda g: (-g[0], g[1]))
     top = gains[:vocab_size]
     return tuple(t for _, t in top), tuple(g for g, _ in top)
+
+
+def far_at_gar_reference(fp: np.ndarray, tp: np.ndarray, gar: float) -> tuple[float, bool]:
+    """(FAR, reachable) at the first ROC point whose GAR reaches ``gar``, by a point-by-point walk.
+
+    Interpolates linearly along the segment that crosses ``gar`` unless the
+    segment is vertical or horizontal; an unreachable level gives (1.0, False).
+    """
+    if tp[0] >= gar:
+        return float(fp[0]), True
+    for i in range(1, len(fp)):
+        if tp[i] >= gar:
+            if fp[i] == fp[i - 1] or tp[i] == tp[i - 1]:
+                return float(fp[i]), True
+            frac = (gar - tp[i - 1]) / (tp[i] - tp[i - 1])
+            return float(fp[i - 1] + frac * (fp[i] - fp[i - 1])), True
+    return 1.0, False

@@ -151,7 +151,7 @@ class TestSpoofing:
     def test_pool_single_choice(self):
         imp = Dataset.from_arrays(np.array([[0.1, 0.2]]), [M])
         gen = Dataset.from_arrays(np.array([[0.8, 0.9]]), [L])
-        pool = build_spoof_pool(imp, gen, Trait.FINGERPRINT, seed=0)
+        pool = build_spoof_pool(imp, gen, Trait.FINGERPRINT, np.random.default_rng(0))
         assert len(pool) == 1
         np.testing.assert_array_equal(
             pool.features[0],
@@ -161,8 +161,8 @@ class TestSpoofing:
     def test_pool_cardinality_and_determinism(self, rng):
         imp = Dataset.from_arrays(rng.random((37, 2)), [M] * 37)
         gen = Dataset.from_arrays(rng.random((12, 2)), [L] * 12)
-        a = build_spoof_pool(imp, gen, Trait.FACE, seed=9)
-        b = build_spoof_pool(imp, gen, Trait.FACE, seed=9)
+        a = build_spoof_pool(imp, gen, Trait.FACE, np.random.default_rng(9))
+        b = build_spoof_pool(imp, gen, Trait.FACE, np.random.default_rng(9))
         assert len(a) == 37 and a == b
         assert np.all(a.flag_codes == 1)
         # the untouched coordinate is bit-identical to the impostor's
@@ -171,7 +171,7 @@ class TestSpoofing:
     def test_empty_genuine_pool(self):
         imp = Dataset.from_arrays(np.array([[0.1, 0.2]]), [M])
         with pytest.raises(ValueError, match="empty genuine pool"):
-            build_spoof_pool(imp, Dataset.from_arrays(np.empty((0, 2)), []), Trait.FACE, seed=0)
+            build_spoof_pool(imp, Dataset.from_arrays(np.empty((0, 2)), []), Trait.FACE, np.random.default_rng(0))
 
 
 class TestPoisoning:

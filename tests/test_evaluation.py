@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from clfsec.classifiers import ClassifierConfig, decision_scores, train_classifier
 from clfsec.cli import _ingest
-from clfsec.config import canned_config, parse_config
+from clfsec.config import ConfigError, canned_config, classifier_from_config, parse_config, scenario_from_config
 from clfsec.data_model import Chronological, CrossValidation, FoldSet, Label, resample
 from clfsec.evaluation import (
     Auc10,
@@ -23,6 +25,7 @@ from clfsec.evaluation import (
 from clfsec.synth import synthetic_ids_traffic, synthetic_spam_corpus
 
 from canned import canned_scenario
+from oracles import far_at_gar_reference
 
 L, M = Label.LEGITIMATE, Label.MALICIOUS
 
@@ -44,6 +47,12 @@ class TestRoc:
         curve = roc(np.array([0.9, 0.7, 0.8, 0.1]), [M, M, L, L])
         pts = list(zip(curve.fp.tolist(), curve.tp.tolist()))
         assert pts == [(0.0, 0.0), (0.0, 0.5), (0.5, 0.5), (0.5, 1.0), (1.0, 1.0)]
+
+    def test_unknown_label_rejected(self):
+        with pytest.raises(ValueError):
+            roc(np.array([1.0, 2.0]), ["M", "X"])
+        with pytest.raises(ValueError, match="0 .legitimate. or 1"):
+            roc(np.array([1.0, 2.0]), np.array([1, 2]))
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="each class"):
@@ -115,6 +124,26 @@ class TestFarAtGar:
         with pytest.warns(RuntimeWarning, match="unreachable"):
             result = far_at_gar(truncated, 0.9)
         assert result == (1.0, False)
+
+    @given(
+        seed=st.integers(0, 5000),
+        n=st.integers(2, 60),
+        levels=st.integers(1, 4),
+        gar=st.sampled_from([0.5, 0.9, 0.99, 1.0]),
+        keep=st.floats(0.0, 1.0),
+    )
+    def test_matches_point_by_point_reference(self, seed, n, levels, gar, keep):
+        # few score levels give tied blocks; dropping a tail of points can
+        # leave gar unreachable
+        rng = np.random.default_rng(seed)
+        labels = [M, L] + [M if v else L for v in rng.random(n - 2) < 0.5]
+        full = roc(rng.integers(0, levels, size=n).astype(float), labels)
+        cut = max(1, int(round(keep * len(full.fp))))
+        curve = RocCurve(fp=full.fp[:cut], tp=full.tp[:cut], thresholds=full.thresholds[:cut])
+        expected = far_at_gar_reference(curve.fp, curve.tp, gar)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert far_at_gar(curve, gar) == expected
 
     def test_gar_domain(self):
         curve = roc(np.array([1.0, 0.0]), [M, L])
@@ -216,13 +245,38 @@ class TestSecuritySweep:
 
     def test_error_annotated_with_fold_and_strength(self):
         _, folds = self._spam()
+        untrainable = ClassifierConfig("linear_svm", {"c": -1.0})
+        with pytest.raises(SweepError, match=r"fold 0, rep 0, strength 0: c_param and tolerance must be positive"):
+            security_sweep(folds, canned_scenario("spam_gwi_bwo", [0, 60]), untrainable, [0], Auc10(), seed=5)
         broken = ClassifierConfig("one_class_svm", {"nu": 1e-9, "gamma": 0.5})
-        with pytest.raises(SweepError, match=r"fold 0, rep 0, training"):
-            security_sweep(folds, canned_scenario("spam_gwi_bwo", [0, 60]), broken, [0], Auc10(), seed=5)
         traffic = synthetic_ids_traffic(seed=5, n_train=60, n_test_legit=60, n_test_malicious=20)
         ifolds = resample(traffic, Chronological(60), seed=42)
         with pytest.raises(SweepError, match=r"fold 0, rep 0, strength 0.2"):
             security_sweep(ifolds, canned_scenario("ids_poison"), broken, [0.2, 0], Auc10(), seed=5)
+
+    def test_item_retrains_only_when_its_training_set_changes(self, monkeypatch):
+        import clfsec.evaluation as evaluation
+
+        traffic = synthetic_ids_traffic(seed=5, n_train=60, n_test_legit=60, n_test_malicious=20)
+        folds = resample(traffic, Chronological(60), seed=42)
+        fold = folds.pairs[0][0]
+        on_fold = []
+        train = evaluation.train_classifier
+
+        def recorded(config, data, seed):
+            on_fold.append(data is fold)
+            return train(config, data, seed=seed)
+
+        monkeypatch.setattr(evaluation, "train_classifier", recorded)
+        # the poisoned fraction and the prior both follow the strength, so 0 leaves the fold untouched
+        attack = canned_config("ids_poison")["attack"]
+        attack["strategy"]["attacked_fraction"]["train"]["M"] = "strength"
+        attack["strength"]["values"] = [0, 1]
+        cfg = ClassifierConfig("one_class_svm", {"nu": 0.1, "gamma": 0.5})
+        curve = security_sweep(folds, scenario_from_config(attack), cfg, [0, 1, 0, 0], Auc10(), seed=5)
+        # the fold, the poisoned set, the fold again; the last 0 reuses the fold's model
+        assert on_fold == [True, False, True]
+        assert curve.means[0] == curve.means[2] == curve.means[3]
 
     @pytest.mark.parametrize(
         "name, strengths", [("ids_poison", [0, 0.5]), ("bio_spoof_fingerprint", [0, 1])]
@@ -252,6 +306,52 @@ class TestSecuritySweep:
         _, folds = self._spam()
         with pytest.raises(ValueError, match="inconsistent scenario"):
             security_sweep(folds, blind, ClassifierConfig("linear_svm", {"c": 1.0}), [0], Auc10(), seed=5)
+
+
+class TestSweepVerdict:
+    """``parse_config`` and ``security_sweep`` reject a sweep with the same problems, before any training."""
+
+    @pytest.fixture
+    def untrained_folds(self, monkeypatch):
+        import clfsec.evaluation as evaluation
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a rejected sweep must not train")
+
+        monkeypatch.setattr(evaluation, "train_classifier", no_training)
+        return resample(synthetic_spam_corpus(seed=9, n=60, d=40), CrossValidation(2), seed=0)
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("spam_gwi_bwo", lambda c: c["attack"]["strength"].update(values=[1, 2]), "strength values must include 0"),
+            ("ids_poison", lambda c: c["attack"]["strength"].update(hi=0.4), "strength values [0.5] outside the scenario's p_max range [0, 0.4]"),
+            (
+                "spam_gwi_bwo",
+                lambda c: c["attack"]["knowledge"].update(parameters=False),
+                "inconsistent scenario: generator gwi_bwo requires parameter knowledge (k.iv)",
+            ),
+            (
+                "spam_gwi_bwo",
+                lambda c: c.update(classifier={"family": "one_class_svm", "nu": 0.1, "gamma": 0.5}),
+                "generator gwi_bwo reads the parameters of a linear_svm or logistic_regression model (k.iv), not of a one_class_svm",
+            ),
+        ],
+        ids=["missing-zero", "out-of-range", "inconsistent", "family-mismatch"],
+    )
+    def test_parse_and_sweep_agree(self, name, edit, message, untrained_folds):
+        cfg = canned_config(name)
+        edit(cfg)
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(cfg)
+        with pytest.raises(ValueError) as swept:
+            security_sweep(
+                untrained_folds, scenario_from_config(cfg["attack"]), classifier_from_config(cfg["classifier"]),
+                cfg["attack"]["strength"]["values"], Auc10(), seed=5,
+            )
+        assert message in parsed.value.problems
+        assert message in str(swept.value).split("; ")
+        assert set(str(swept.value).split("; ")) <= set(parsed.value.problems)
 
 
 class TestSvmGridSelection:

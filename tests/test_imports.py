@@ -1,0 +1,38 @@
+"""Module boundaries of the package: no module reaches into another's private names."""
+
+import ast
+from pathlib import Path
+
+import clfsec
+
+PACKAGE_DIR = Path(clfsec.__file__).parent
+
+
+def _private_imports(path: Path) -> list[str]:
+    """``module.name`` for each ``_``-prefixed name the file imports from another package module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "clfsec":
+            continue  # a third-party or standard-library import
+        found.extend(f"{module}.{alias.name}" for alias in node.names if alias.name.startswith("_"))
+    return found
+
+
+def test_package_modules_import_no_private_names():
+    offenders = {p.name: _private_imports(p) for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert {name: names for name, names in offenders.items() if names} == {}
+
+
+def test_private_import_is_detected(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "from __future__ import annotations\n"
+        "from .evaluation import _sweep_problems, roc\n"
+        "from clfsec.rng import _tag_words\n"
+        "from numpy import _globals\n",
+        encoding="utf-8",
+    )
+    assert _private_imports(source) == ["evaluation._sweep_problems", "clfsec.rng._tag_words"]

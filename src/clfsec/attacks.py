@@ -164,18 +164,6 @@ class AttackScenario:
         raw = self.strategy.attacked_fraction.get((phase, label), 0.0)
         return float(_resolve(raw, strength))
 
-    def affects(self, phase: str) -> bool:
-        allowed = self.capability.affects_training if phase == "train" else self.capability.affects_testing
-        if not allowed:
-            return False
-        if phase == "train" and self.strategy.prior_override is not None:
-            return True
-        return any(
-            (isinstance(v, _Strength) or v > 0.0)
-            for (ph, _lab), v in self.strategy.attacked_fraction.items()
-            if ph == phase
-        )
-
     def prior_override(self, strength: float | None) -> float | None:
         return _resolve(self.strategy.prior_override, strength)
 
@@ -186,7 +174,7 @@ class AttackScenario:
         strength where the generator changes samples: ``ids_poison`` at
         p_max = 0 trains on a resample of the clean slices, not on the fold.
         """
-        if not self.affects(phase):
+        if not (self.capability.affects_training if phase == "train" else self.capability.affects_testing):
             return True
         fractions = [self.attacked_fraction(phase, lab, strength) for lab in Label]
         noop = GENERATORS[self.strategy.generator].noop_at_zero and strength == 0
@@ -421,7 +409,10 @@ def check_scenario_consistency(scenario: AttackScenario) -> list[str]:
 
 
 def sweep_problems(scenario: AttackScenario, strengths: Sequence[float], family: str | None) -> list[str]:
-    """Why the scenario cannot be swept over these strengths against a ``family`` classifier; empty when it can."""
+    """Why the scenario cannot be swept over these strengths against a ``family`` classifier; empty when it can.
+
+    A ``family`` of ``None`` (not known) skips the check that the generator can read the model.
+    """
     problems = []
     if 0.0 not in strengths:
         problems.append("strength values must include 0")
@@ -434,7 +425,7 @@ def sweep_problems(scenario: AttackScenario, strengths: Sequence[float], family:
     problems.extend(f"inconsistent scenario: {v}" for v in check_scenario_consistency(scenario))
     generator = scenario.strategy.generator
     reads = GENERATORS[generator].reads_model if generator in GENERATORS else ()
-    if reads and family not in reads:
+    if reads and family is not None and family not in reads:
         problems.append(
             f"generator {generator} reads the parameters of a {' or '.join(reads)} model (k.iv), not of a {family}"
         )

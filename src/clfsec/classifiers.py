@@ -20,9 +20,9 @@ from typing import Any, Callable, Mapping, Union
 
 import numpy as np
 
-from .data_model import Dataset, Label
+from .data_model import Dataset, Label, gamma_log_pdf
 from .rng import derive_rng
-from .special import digamma, gammaln, trigamma
+from .special import digamma, trigamma
 
 __all__ = [
     "LinearModel",
@@ -105,12 +105,8 @@ class FusionModel:
         c = 0 if label is Label.LEGITIMATE else 1
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         out = np.zeros(x.shape[0])
-        for f in range(2):
-            k, th = self.shapes[c, f], self.scales[c, f]
-            v = x[:, f]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                term = (k - 1) * np.log(v) - v / th - gammaln(k) - k * np.log(th)
-            out = out + np.where(v > 0, term, -np.inf)
+        for f in range(2):  # features in order: the sum's rounding is part of every fusion score
+            out = out + gamma_log_pdf(x[:, f], self.shapes[c, f], self.scales[c, f])
         return out
 
 

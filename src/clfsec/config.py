@@ -8,9 +8,11 @@ user can diff after editing.
 
 from __future__ import annotations
 
+import enum
 import importlib.resources
 import inspect
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -169,7 +171,8 @@ def parse_config(cfg: Mapping, base_dir: Path = Path()) -> RunConfig:
     except (KeyError, TypeError, ValueError):
         fields["strengths"] = ()
     if "scenario" in fields:
-        problems.extend(sweep_problems(fields["scenario"], fields["strengths"], cfg["classifier"].get("family")))
+        family = fields["classifier"].family if "classifier" in fields else None  # a bad classifier is reported once
+        problems.extend(sweep_problems(fields["scenario"], fields["strengths"], family))
     parse("metric", metric_from_config, ev)
     parse("seed", _integer, ev.get("seed", 0), "evaluation.seed")
     parse("repetitions", _integer, ev.get("repetitions", 1), "evaluation.repetitions", 1)
@@ -292,83 +295,121 @@ def metric_from_config(eval_section: Mapping) -> Metric:
     raise ConfigError(f"unknown metric {metric!r}")
 
 
-def _fraction(value: Any) -> Any:
-    if value == "strength":
-        return STRENGTH
-    return float(value)
+_REQUIRED = object()  # default of a key that must be present
 
 
-def _parse_specificity(value: Any) -> float:
-    if isinstance(value, str):
-        table = {"indiscriminate": 0.0, "targeted": 1.0}
-        if value not in table:
-            raise ConfigError(f"specificity must be targeted/indiscriminate or a number, got {value!r}")
-        return table[value]
-    return float(value)
+def _typed(accepts: Callable[[Any], bool], what: str, convert: Callable[[Any], Any] = lambda v: v):
+    """A value parser: ``convert(value)`` for a value it ``accepts``, else a problem saying it must be ``what``."""
+
+    def parse(value: Any, where: str) -> Any:
+        if not accepts(value):
+            raise ConfigError(f"{where} must be {what}, got {value!r}")
+        return convert(value)
+
+    return parse
 
 
-def _fraction_map(section: Mapping | None) -> dict[tuple[str, Label], Any]:
+def _optional(parse: Callable[[Any, str], Any]):
+    return lambda value, where: None if value is None else parse(value, where)
+
+
+def _member(kind: type[enum.Enum]):
+    values = [m.value for m in kind]
+    return _typed(lambda v: v in values, f"one of {', '.join(values)}", kind)
+
+
+_flag = _typed(lambda v: isinstance(v, bool), "true or false")
+_string = _typed(lambda v: isinstance(v, str), "a string")
+_number = _typed(_is_number, "a number", float)
+_numbers = _typed(
+    lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers", lambda v: list(map(float, v))
+)
+_fraction = _typed(
+    lambda v: v == "strength" or _is_number(v),
+    "a number or 'strength'",
+    lambda v: STRENGTH if v == "strength" else float(v),
+)
+_specificity = _typed(
+    lambda v: v in ("indiscriminate", "targeted") or _is_number(v),
+    "targeted, indiscriminate or a number",
+    lambda v: {"indiscriminate": 0.0, "targeted": 1.0}[v] if isinstance(v, str) else float(v),
+)
+
+
+def _fraction_map(value: Any, where: str, parser: Callable = _fraction) -> dict[tuple[str, Label], Any]:
+    """``{phase: {label: fraction}}`` keyed by (phase, :meth:`Label.parse` of the label); null is empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{where} must be a mapping, got {value!r}")
     out: dict[tuple[str, Label], Any] = {}
-    for phase, by_label in (section or {}).items():
+    for phase, by_label in value.items():
         if phase not in ("train", "test"):
-            raise ConfigError(f"unknown phase {phase!r} in fraction map")
-        for lab_key, value in (by_label or {}).items():
-            out[(phase, Label.from_str(str(lab_key)))] = _fraction(value)
+            raise ConfigError(f"{where} has unknown phase {phase!r}; known: train, test")
+        if not isinstance(by_label or {}, Mapping):
+            raise ConfigError(f"{where}.{phase} must be a mapping, got {by_label!r}")
+        for label, fraction in (by_label or {}).items():
+            try:
+                key = (phase, Label.parse(label))
+            except ValueError as exc:
+                raise ConfigError(f"{where}.{phase}: {exc}") from None
+            if key in out:
+                raise ConfigError(f"{where}.{phase} names label {key[1].value} twice")
+            out[key] = parser(fraction, f"{where}.{phase}.{label}")
     return out
 
 
 def scenario_from_config(attack_section: Mapping) -> AttackScenario:
-    try:
-        name = attack_section["name"]
-        influence = Influence(attack_section["influence"])
-        violation = Violation(attack_section["violation"])
-        specificity = _parse_specificity(attack_section.get("specificity", "indiscriminate"))
-        kn = attack_section.get("knowledge", {})
-        knowledge = Knowledge(
-            training_data=bool(kn.get("training_data", False)),
-            feature_set=bool(kn.get("feature_set", False)),
-            algorithm=bool(kn.get("algorithm", False)),
-            parameters=bool(kn.get("parameters", False)),
-            feedback=bool(kn.get("feedback", False)),
-        )
-        cap = attack_section["capability"]
-        controllable = {
-            k: float(v) for k, v in _fraction_map(cap.get("controllable_fraction")).items()
-        }
-        capability = Capability(
-            affects_training=bool(cap["affects_training"]),
-            affects_testing=bool(cap["affects_testing"]),
-            prior_change_allowed=bool(cap.get("prior_change_allowed", False)),
-            controllable=controllable,
-            feature_constraints=cap.get("feature_constraints"),
-        )
-        strat = attack_section["strategy"]
-        prior_override = strat.get("prior_override")
-        if prior_override is not None:
-            prior_override = _fraction(prior_override)
-        strategy = Strategy(
-            generator=str(strat["generator"]),
-            attacked_fraction=_fraction_map(strat.get("attacked_fraction")),
-            prior_override=prior_override,
-        )
-        st = attack_section["strength"]
-        values = [float(v) for v in st.get("values", [])]
-        strength = StrengthParam(
-            name=st["name"],
-            lo=float(st.get("lo", min(values) if values else 0.0)),
-            hi=float(st.get("hi", max(values) if values else 1.0)),
-        )
-    except ConfigError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad attack section: {exc!r}") from exc
-    return AttackScenario(
-        name=name,
-        influence=influence,
-        violation=violation,
-        specificity=specificity,
-        knowledge=knowledge,
-        capability=capability,
-        strategy=strategy,
-        strength=strength,
+    """The scenario an attack section describes.
+
+    Raises :class:`ConfigError` naming every missing key and every value of the wrong type.
+    """
+    problems: list[str] = []
+
+    def get(where: str, parser: Callable[[Any, str], Any], default: Any = _REQUIRED) -> Any:
+        name, _, key = where.rpartition(".")
+        section = attack_section.get(name, {}) if name else attack_section
+        if not isinstance(section, Mapping):
+            return None  # reported once, by the section check below
+        if key not in section:
+            if default is _REQUIRED:
+                problems.append(f"attack.{where} is required")
+                return None
+            return default
+        try:
+            return parser(section[key], f"attack.{where}")
+        except ConfigError as exc:
+            problems.extend(exc.problems)
+            return None
+
+    for name in ("knowledge", "capability", "strategy", "strength"):
+        if not isinstance(attack_section.get(name, {}), Mapping):
+            problems.append(f"attack.{name} must be a mapping, got {attack_section[name]!r}")
+    values = get("strength.values", _numbers, []) or []
+    scenario = AttackScenario(
+        name=get("name", _string),
+        influence=get("influence", _member(Influence)),
+        violation=get("violation", _member(Violation)),
+        specificity=get("specificity", _specificity, 0.0),
+        knowledge=Knowledge(**{k: get(f"knowledge.{k}", _flag, False) for k in _KNOWN_KEYS[("attack", "knowledge")]}),
+        capability=Capability(
+            affects_training=get("capability.affects_training", _flag),
+            affects_testing=get("capability.affects_testing", _flag),
+            prior_change_allowed=get("capability.prior_change_allowed", _flag, False),
+            controllable=get("capability.controllable_fraction", partial(_fraction_map, parser=_number), {}),
+            feature_constraints=get("capability.feature_constraints", _optional(_string), None),
+        ),
+        strategy=Strategy(
+            generator=get("strategy.generator", _string),
+            attacked_fraction=get("strategy.attacked_fraction", _fraction_map, {}),
+            prior_override=get("strategy.prior_override", _optional(_fraction), None),
+        ),
+        strength=StrengthParam(
+            name=get("strength.name", _string),
+            lo=get("strength.lo", _number, min(values, default=0.0)),
+            hi=get("strength.hi", _number, max(values, default=1.0)),
+        ),
     )
+    if problems:
+        raise ConfigError(*problems)
+    return scenario

@@ -24,6 +24,7 @@ from typing import Callable, Iterator, Mapping, Protocol, Sequence, Union
 import numpy as np
 
 from .rng import derive_rng
+from .special import gammaln
 
 __all__ = [
     "Label",
@@ -33,6 +34,7 @@ __all__ = [
     "encode_labels",
     "DiagonalGaussian",
     "GammaProduct",
+    "gamma_log_pdf",
     "Analytic",
     "EmpiricalPool",
     "GeneratorComponent",
@@ -55,11 +57,12 @@ class Label(enum.Enum):
     MALICIOUS = "M"
 
     @classmethod
-    def from_str(cls, s: str) -> "Label":
-        for lab in cls:
-            if s == lab.value or s.lower() == lab.name.lower():
-                return lab
-        raise ValueError(f"unknown label {s!r}")
+    def parse(cls, token: "Label | str") -> "Label":
+        """The label ``token`` names (``L``/``M``, member names, ``ham``/``spam``, ``genuine``/``impostor``; any case)."""
+        lab = token if isinstance(token, cls) else _LABEL_NAMES.get(str(token).strip().lower())
+        if lab is None:
+            raise ValueError(f"unknown label {token!r}")
+        return lab
 
 
 class AttackFlag(enum.Enum):
@@ -70,18 +73,22 @@ class AttackFlag(enum.Enum):
 
 
 _LABELS = (Label.LEGITIMATE, Label.MALICIOUS)
+_LABEL_NAMES = {
+    **dict.fromkeys(("l", "legitimate", "ham", "genuine"), Label.LEGITIMATE),
+    **dict.fromkeys(("m", "malicious", "spam", "impostor"), Label.MALICIOUS),
+}
 _LABEL_CODE = {Label.LEGITIMATE: 0, Label.MALICIOUS: 1}
 _FLAG_CODE = {AttackFlag.CLEAN: 0, AttackFlag.ATTACKED: 1}
 
 
 def encode_labels(labels: Sequence[Label | str] | np.ndarray) -> np.ndarray:
-    """0/1 class codes (1 = malicious) of labels given as ``Label`` members, their values or codes.
+    """0/1 class codes (1 = malicious) of labels given as ``Label`` members, names :meth:`Label.parse` reads, or codes.
 
     Raises ``ValueError`` on anything else, such as ``"X"`` or a code of 2.
     """
     arr = np.asarray(labels)
     if arr.dtype == object or arr.dtype.kind == "U":
-        return np.array([_LABEL_CODE[Label(l)] for l in labels], dtype=np.uint8)
+        return np.array([_LABEL_CODE[Label.parse(l)] for l in labels], dtype=np.uint8)
     if not np.all((arr == 0) | (arr == 1)):
         raise ValueError("label codes must be 0 (legitimate) or 1 (malicious)")
     return arr.astype(np.uint8)
@@ -195,7 +202,8 @@ class Dataset:
         """+1 for malicious, -1 for legitimate."""
         return np.where(self.label_codes == 1, 1.0, -1.0)
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
+    def subset(self, indices: np.ndarray | slice) -> "Dataset":
+        """The rows at ``indices``; a slice gives a view that shares memory with this dataset."""
         return Dataset(self.features[indices], self.label_codes[indices], self.flag_codes[indices])
 
     def restrict(self, label: Label) -> "Dataset":
@@ -277,19 +285,21 @@ class GammaProduct:
         return rng.gamma(shape=self.shapes, scale=self.scales, size=(n, self.dimension))
 
     def marginal_pdfs(self):
-        from .special import gammaln
-
         out = []
         for k, th in zip(self.shapes, self.scales):
             def pdf(x, k=k, th=th):
-                x = np.asarray(x, dtype=np.float64)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    logp = (k - 1) * np.log(x) - x / th - gammaln(k) - k * np.log(th)
-                return np.where(x > 0, np.exp(logp), 0.0)
+                return np.exp(gamma_log_pdf(x, k, th))
 
             hi = k * th + 30 * np.sqrt(k) * th
             out.append((pdf, 0.0, hi))
         return out
+
+
+def gamma_log_pdf(x: np.ndarray, shape: float, scale: float) -> np.ndarray:
+    """Log-density of Gamma(shape, scale) at each ``x``; -inf where ``x <= 0``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = (shape - 1) * np.log(x) - x / scale - gammaln(shape) - shape * np.log(scale)
+    return np.where(x > 0, logp, -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +494,7 @@ def resample(data: Dataset, method: ResampleMethod, seed: int) -> FoldSet:
         s = method.split_index
         if not 0 < s < n:
             raise ValueError(f"split_index must be in (0, {n}), got {s}")
-        idx = np.arange(n)
-        return FoldSet(1, ((data.subset(idx[:s]), data.subset(idx[s:])),))
+        return FoldSet(1, ((data.subset(slice(None, s)), data.subset(slice(s, None))),))
     raise TypeError(f"unknown resampling method {method!r}")
 
 
@@ -529,47 +538,29 @@ def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> Dataset:
     d = spec.dimension()
     features = np.zeros((n, d))
 
-    def cell_indices(label: Label, flag: AttackFlag) -> np.ndarray:
-        return np.flatnonzero(
-            (label_codes == _LABEL_CODE[label]) & (flag_codes == _FLAG_CODE[flag])
-        )
-
-    def draw_batch(comp: Component, m: int, cell: tuple[Label, AttackFlag]) -> np.ndarray:
+    def draw(comp: Component, m: int, partial: Dataset | None = None) -> np.ndarray:
         if isinstance(comp, Analytic):
             return comp.density.sample(feature_rng, m)
         if isinstance(comp, EmpiricalPool):
-            if len(comp.pool) == 0:
-                raise ValueError(
-                    f"empty pool hit for cell ({cell[0].value}, {cell[1].value})"
-                )
-            js = feature_rng.integers(0, len(comp.pool), size=m)
-            return comp.pool.features[js]
-        return np.stack([comp.generator.generate(None, feature_rng) for _ in range(m)])
+            return comp.pool.features[feature_rng.integers(0, len(comp.pool), size=m)]
+        return np.stack([comp.generator.generate(partial, feature_rng) for _ in range(m)])
 
+    # validate_spec leaves no cell that can be drawn without a component (or with an empty pool);
     # incremental mode draws the attacked cells last, one sample at a time
     incremental = spec.generation_mode is GenerationMode.INCREMENTAL_ATTACK_LAST
-    for cell in _CELL_ORDER:
-        idx = cell_indices(*cell)
-        if idx.size == 0 or (incremental and cell[1] is AttackFlag.ATTACKED):
-            continue
-        comp = spec.components.get(cell)
-        if comp is None:
-            raise ValueError(f"no component for cell ({cell[0].value}, {cell[1].value})")
-        features[idx] = draw_batch(comp, idx.size, cell)
+    for lab, flag in _CELL_ORDER:
+        idx = np.flatnonzero((label_codes == _LABEL_CODE[lab]) & (flag_codes == _FLAG_CODE[flag]))
+        if idx.size and not (incremental and flag is AttackFlag.ATTACKED):
+            features[idx] = draw(spec.components[(lab, flag)], idx.size)
     if not incremental:
         return Dataset(features, label_codes, flag_codes)
 
     generated = flag_codes == 0
     for i in np.flatnonzero(flag_codes == 1):
-        cell = (_LABELS[label_codes[i]], AttackFlag.ATTACKED)
-        comp = spec.components.get(cell)
-        if comp is None:
-            raise ValueError(f"no component for cell ({cell[0].value}, {cell[1].value})")
+        comp = spec.components[(_LABELS[label_codes[i]], AttackFlag.ATTACKED)]
+        partial = None
         if isinstance(comp, GeneratorComponent):
-            visible = np.flatnonzero(generated)
-            partial = Dataset(features[visible], label_codes[visible], flag_codes[visible])
-            features[i] = comp.generator.generate(partial, feature_rng)
-        else:
-            features[i] = draw_batch(comp, 1, cell)[0]
+            partial = Dataset(features[generated], label_codes[generated], flag_codes[generated])
+        features[i] = draw(comp, 1, partial)[0]
         generated[i] = True
     return Dataset(features, label_codes, flag_codes)

@@ -10,12 +10,12 @@ Turns raw material into :class:`~clfsec.data_model.Dataset` objects:
 
 File formats
 ------------
-Dense CSV            header ``f0,...,f{d-1},label``; label ``L`` or ``M``.
+Dense CSV            header ``f0,...,f{d-1},label``.
 Sparse triplet       ``<d> <idx>:<val> ... ,<label>`` with 0-based indices.
-Email corpus index   lines ``<label> <path>`` (``ham``/``spam`` accepted),
-                     paths relative to the index file.
+Email corpus index   lines ``<label> <path>``, paths relative to the index file.
 Score table CSV      header ``user_id,claimed_id,fing_score,face_score,label``.
 Payload file         one ``<hex>,<label>`` line per packet.
+Labels               any name :meth:`~clfsec.data_model.Label.parse` reads.
 """
 
 from __future__ import annotations
@@ -52,23 +52,12 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _MIN_TOKEN_LEN = 2
 _MAX_TOKEN_LEN = 40
 
-_LABEL_ALIASES = {
-    "l": Label.LEGITIMATE,
-    "ham": Label.LEGITIMATE,
-    "legitimate": Label.LEGITIMATE,
-    "genuine": Label.LEGITIMATE,
-    "m": Label.MALICIOUS,
-    "spam": Label.MALICIOUS,
-    "malicious": Label.MALICIOUS,
-    "impostor": Label.MALICIOUS,
-}
-
 
 def _parse_label(token: str, where: str) -> Label:
-    lab = _LABEL_ALIASES.get(token.strip().lower())
-    if lab is None:
-        raise ValueError(f"unknown label {token!r} at {where}")
-    return lab
+    try:
+        return Label.parse(token)
+    except ValueError as exc:
+        raise ValueError(f"{exc} at {where}") from None
 
 
 # ---------------------------------------------------------------------------

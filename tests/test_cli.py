@@ -379,6 +379,49 @@ class TestValidateCommand:
             ("spam_gwi_bwo", lambda c: c["attack"].update(strenght={"values": [0, 5]}), "unknown attack keys ['strenght']"),
             ("ids_poison", lambda c: c["attack"]["strategy"].update(prior_overide=0.1), "unknown attack.strategy keys ['prior_overide']"),
             ("ids_poison", lambda c: c.update(evalution={"seed": 1}), "unknown top-level keys ['evalution']"),
+            (
+                "spam_gwi_bwo",
+                lambda c: c["attack"]["knowledge"].update(parameters="no"),
+                "attack.knowledge.parameters must be true or false, got 'no'",
+            ),
+            (
+                "bio_spoof_face",
+                lambda c: c["attack"]["capability"].update(affects_training="false"),
+                "attack.capability.affects_training must be true or false, got 'false'",
+            ),
+            (
+                "ids_poison",
+                lambda c: c["attack"]["capability"].update(prior_change_allowed=1),
+                "attack.capability.prior_change_allowed must be true or false, got 1",
+            ),
+            (
+                "bio_spoof_face",
+                lambda c: c["attack"]["strategy"]["attacked_fraction"]["test"].update(M=True),
+                "attack.strategy.attacked_fraction.test.M must be a number or 'strength', got True",
+            ),
+            (
+                "bio_spoof_face",
+                lambda c: c["attack"]["capability"]["controllable_fraction"]["test"].update(M="1.0"),
+                "attack.capability.controllable_fraction.test.M must be a number, got '1.0'",
+            ),
+            (
+                "ids_poison",
+                lambda c: c["attack"]["strategy"].update(prior_override=True),
+                "attack.strategy.prior_override must be a number or 'strength', got True",
+            ),
+            (
+                "bio_spoof_face",
+                lambda c: c["attack"]["strategy"]["attacked_fraction"].update(test={"X": 1.0}),
+                "attack.strategy.attacked_fraction.test: unknown label 'X'",
+            ),
+            ("ids_poison", lambda c: c["attack"].pop("name"), "attack.name is required"),
+            (
+                "ids_poison",
+                lambda c: c["attack"]["capability"].pop("affects_testing"),
+                "attack.capability.affects_testing is required",
+            ),
+            ("spam_gwi_bwo", lambda c: c["attack"].pop("strategy"), "attack.strategy.generator is required"),
+            ("spam_gwi_bwo", lambda c: c["attack"].update(influence="passive"), "attack.influence must be one of"),
         ],
         ids=[
             "strength-above-hi", "collect-roc-not-numeric", "collect-roc-outside-range", "collect-roc-not-a-strength",
@@ -390,6 +433,9 @@ class TestValidateCommand:
             "strength-fraction-above-one", "strength-prior-above-one",
             "gwi-bwo-legitimate-test-cell", "poison-test-cell", "spoof-train-cell", "gwi-bwo-one-class-svm",
             "output-key-typo", "data-key-typo", "attack-key-typo", "strategy-key-typo", "top-level-key-typo",
+            "knowledge-string-flag", "capability-string-flag", "capability-integer-flag", "fraction-boolean",
+            "controllable-fraction-string", "prior-override-boolean", "fraction-unknown-label",
+            "attack-name-missing", "capability-key-missing", "strategy-missing", "influence-unknown",
         ],
     )
     def test_validate_and_evaluate_reject_alike(self, name, edit, message, tmp_path, capsys):
@@ -402,6 +448,15 @@ class TestValidateCommand:
             assert main([command, "--config", str(path)]) == 2
             assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_missing_family_reported_once(self, tmp_path, capsys):
+        cfg = canned_config("spam_gwi_bwo")
+        cfg["classifier"] = {"c": 1.0}
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "classifier.family must be one of" in lines[0]
 
     def test_jobs_zero_exits_2(self, tmp_path, capsys):
         for command in ("validate", "evaluate"):
@@ -523,6 +578,17 @@ class TestCannedConfigs:
             assert run.classifier.family == cfg["classifier"]["family"]
             assert run.strengths == tuple(float(s) for s in cfg["attack"]["strength"]["values"])
             assert run.seed == cfg["evaluation"]["seed"]
+
+
+    def test_fraction_maps_take_every_label_name(self):
+        attack = canned_config("bio_spoof_face")["attack"]
+        attack["capability"]["controllable_fraction"] = {"test": {"M": 1.0, "L": 0.0}}
+        renamed = canned_config("bio_spoof_face")["attack"]
+        renamed["capability"]["controllable_fraction"] = {"test": {"spam": 1.0, " Genuine ": 0.0}}
+        renamed["strategy"]["attacked_fraction"] = {"test": {"impostor": "strength"}}
+        scen = scenario_from_config(attack)
+        assert scenario_from_config(renamed) == scen
+        assert scen.capability.controllable == {("test", M): 1.0, ("test", L): 0.0}
 
 
 class TestTableOneInstantiation:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,10 +18,13 @@ from clfsec.data_model import (
     GenerationMode,
     GeneratorComponent,
     Label,
+    encode_labels,
+    gamma_log_pdf,
     resample,
     sample_dataset,
     validate_spec,
 )
+from clfsec.rng import derive_rng
 
 L, M = Label.LEGITIMATE, Label.MALICIOUS
 F, T = AttackFlag.CLEAN, AttackFlag.ATTACKED
@@ -62,6 +67,50 @@ class TestDatasetBasics:
         assert len(ds.restrict(label=M)) == 7
         assert ds.class_counts() == {L: 3, M: 7}
         assert ds.empirical_prior_malicious() == 0.7
+
+
+class TestLabelNames:
+    def test_every_name_of_each_label(self):
+        for lab, names in ((L, ("L", "legitimate", "ham", "genuine")), (M, ("M", "malicious", "spam", "impostor"))):
+            for name in names:
+                assert Label.parse(name) is lab
+                assert Label.parse(f" {name.upper()}\n") is lab
+                assert Label.parse(name.lower()) is lab
+            assert Label.parse(lab) is lab
+
+    def test_unknown_name_rejected(self):
+        for token in ("X", "", "legit", "T"):
+            with pytest.raises(ValueError, match="unknown label"):
+                Label.parse(token)
+
+    def test_encode_labels_takes_the_same_names(self):
+        assert encode_labels(["spam", "ham", L, "M", np.str_("genuine")]).tolist() == [1, 0, 0, 1, 0]
+        with pytest.raises(ValueError, match="unknown label 'X'"):
+            encode_labels(["M", "X"])
+
+
+class TestGammaLogPdf:
+    def test_matches_scipy(self):
+        import scipy.stats as st_
+
+        x = np.concatenate([np.geomspace(1e-6, 50.0, 400), np.linspace(0.01, 3.0, 100)])
+        for shape, scale in ((0.3, 2.0), (1.0, 1.0), (2.5, 0.4), (8.0, 0.08), (40.0, 0.05)):
+            want = st_.gamma.logpdf(x, shape, scale=scale)
+            # relative to the summed terms' size: where they cancel to near 0, no formula keeps 1e-12 of the result
+            size = np.abs((shape - 1) * np.log(x)) + x / scale + abs(math.lgamma(shape)) + abs(shape * np.log(scale))
+            assert np.all(np.abs(gamma_log_pdf(x, shape, scale) - want) <= 1e-12 * np.maximum(np.abs(want), size))
+
+    def test_minus_inf_at_zero_and_below(self):
+        x = np.array([0.0, -0.0, -1e-300, -3.0, -np.inf])
+        for shape in (0.5, 1.0, 3.0):
+            assert np.all(gamma_log_pdf(x, shape, 1.5) == -np.inf)
+
+    def test_product_marginals_are_its_exponential(self):
+        density = GammaProduct((2.0, 0.7), (0.5, 3.0))
+        x = np.linspace(-1.0, 20.0, 301)
+        for (pdf, _lo, _hi), k, th in zip(density.marginal_pdfs(), density.shapes, density.scales):
+            assert np.array_equal(pdf(x), np.exp(gamma_log_pdf(x, k, th)))
+            assert np.all(pdf(x[x <= 0]) == 0.0)
 
 
 class TestValidateSpec:
@@ -147,6 +196,14 @@ class TestResample:
         tr, ts = folds.pairs[0]
         assert np.array_equal(tr.features, ds.features[:2])
         assert np.array_equal(ts.features, ds.features[2:])
+
+    def test_chronological_folds_are_views(self):
+        ds = labeled_dataset(6, 6)
+        tr, ts = resample(ds, Chronological(5), seed=0).pairs[0]
+        for part in (tr, ts):
+            for name in ("features", "label_codes", "flag_codes"):
+                assert np.shares_memory(getattr(part, name), getattr(ds, name))
+        assert tr == ds.subset(np.arange(5)) and ts == ds.subset(np.arange(5, 12))
 
     def test_bootstrap_deterministic(self):
         ds = labeled_dataset(5, 5)
@@ -281,6 +338,30 @@ class TestSampleDataset:
         n_clean = int(np.sum(out.flag_codes == 0))
         # first attack draw sees exactly the clean samples, then one more each time
         assert seen_sizes == list(range(n_clean, 60))
+
+    def test_incremental_pool_draws_in_stream_order(self):
+        # clean cells are drawn in batches in cell order, then one pool row per
+        # attacked sample in sample order, all from the one feature substream
+        src = labeled_dataset(10, 10, seed=15)
+        clean = {L: src.restrict(label=L), M: src.restrict(label=M)}
+        attacked = {
+            lab: Dataset(pool.features + 100.0, pool.label_codes, np.ones(10, dtype=np.uint8))
+            for lab, pool in clean.items()
+        }
+        components = {(lab, F): EmpiricalPool(pool) for lab, pool in clean.items()}
+        components.update({(lab, T): EmpiricalPool(pool) for lab, pool in attacked.items()})
+        spec = DistributionSpec(0.5, {L: 0.3, M: 0.6}, components, GenerationMode.INCREMENTAL_ATTACK_LAST)
+        out = sample_dataset(spec, 300, seed=5)
+        rng = derive_rng(5, "features")
+        want = np.zeros((300, 3))
+        for lab, pool in clean.items():
+            idx = np.flatnonzero((out.label_codes == (lab is M)) & (out.flag_codes == 0))
+            want[idx] = pool.features[rng.integers(0, len(pool), size=idx.size)]
+        for i in np.flatnonzero(out.flag_codes == 1):
+            pool = attacked[M if out.label_codes[i] else L]
+            want[i] = pool.features[rng.integers(0, len(pool), size=1)[0]]
+        assert 0 < int(out.flag_codes.sum()) < 300
+        assert np.array_equal(out.features, want)
 
     @given(
         prior=st.floats(0.0, 1.0),

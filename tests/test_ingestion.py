@@ -247,6 +247,13 @@ class TestPayloadHistogram:
         assert ds.label_codes.tolist() == [0, 1]
 
 
+    def test_unknown_label_names_line(self, tmp_path):
+        p = tmp_path / "pcap.txt"
+        p.write_text("41414141,spam\n0001,legit\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"unknown label 'legit' at .*pcap\.txt:2$"):
+            load_payloads(p)
+
+
 class TestScores:
     def test_min_max_normalization(self, tmp_path):
         p = tmp_path / "scores.csv"
@@ -262,6 +269,15 @@ class TestScores:
         np.testing.assert_allclose(table.dataset.features[:, 1], [0.0, 1.0, 0.5])
         assert table.dataset.label_codes.tolist() == [0, 1, 1]
         assert table.user_ids == ("u1", "u2", "u3")
+
+    def test_unknown_label_names_line(self, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text(
+            "user_id,claimed_id,fing_score,face_score,label\nu1,u1,2,10, Genuine\nu2,u1,4,30,M\nu3,u1,6,20,imposter\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=r"unknown label 'imposter' at .*scores\.csv:4$"):
+            load_scores(p)
 
     def test_constant_matcher_rejected(self, tmp_path):
         p = tmp_path / "scores.csv"

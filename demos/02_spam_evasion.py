@@ -9,8 +9,8 @@ the classical (attack-free) evaluation.
 """
 
 from clfsec import ClassifierConfig, resample
-from clfsec.attacks import AttackBudget, gwi_bwo_attack
-from clfsec.classifiers import decision_score, train_linear_svm
+from clfsec.attacks import gwi_bwo_pool
+from clfsec.classifiers import decision_scores, train_linear_svm
 from clfsec.config import canned_config, scenario_from_config
 from clfsec.data_model import Chronological, Label
 from clfsec.evaluation import Auc10, security_sweep
@@ -22,10 +22,10 @@ d_tr, d_ts = folds.pairs[0]
 
 # one attacked email, up close
 model = train_linear_svm(d_tr, c_param=1.0)
-spam = d_ts.restrict(label=Label.MALICIOUS)[0].features
+spam = d_ts.restrict(label=Label.MALICIOUS).subset(slice(0, 1))
 print("one spam email under increasing budgets:")
 for n_max in (0, 1, 2, 5, 10, 30):
-    g = decision_score(model, gwi_bwo_attack(spam, model, AttackBudget(n_max)))
+    g = decision_scores(model, gwi_bwo_pool(spam, model, n_max).features)[0]
     print(f"  n_max={n_max:>3}  discriminant g(A(x)) = {g:+.3f}")
 
 # the full sweep, for both classifier families, past the canned scenario's n_max range

@@ -20,10 +20,10 @@ malicious samples it replaces.  Three families are implemented, one per
 application lane:
 
 * greedy word insertion/obfuscation against a linear discriminant
-  (``gwi_bwo``; :func:`gwi_bwo_attack`),
+  (``gwi_bwo``; :func:`gwi_bwo_pool`),
 * biometric spoofing by substituting an impostor's matching score with a
   targeted genuine score (``spoof_fingerprint``, ``spoof_face``;
-  :func:`spoof_substitution`),
+  :func:`build_spoof_pool`),
 * anomaly-detector poisoning that injects the malicious testing pool into
   the training distribution (``poison_injection``; the injected fraction
   becomes the training prior through ``prior_override``).
@@ -58,10 +58,7 @@ __all__ = [
     "Strategy",
     "StrengthParam",
     "AttackScenario",
-    "AttackBudget",
-    "gwi_bwo_attack",
     "gwi_bwo_pool",
-    "spoof_substitution",
     "build_spoof_pool",
     "AttackGenerator",
     "GENERATORS",
@@ -100,12 +97,13 @@ STRENGTH = _Strength()
 FractionLike = Union[float, _Strength]
 
 
-def _resolve(value: FractionLike | None, strength: float | None) -> float | None:
-    if isinstance(value, _Strength):
-        if strength is None:
-            raise ValueError("strength value required but not supplied")
-        return float(strength)
-    return value
+def _resolve(value: FractionLike | None, strength: float) -> float | None:
+    return float(strength) if isinstance(value, _Strength) else value
+
+
+def _can_be_positive(value: FractionLike) -> bool:
+    """Whether a fraction is above 0 at some strength: it is the strength, or a number above 0."""
+    return isinstance(value, _Strength) or value > 0
 
 
 @dataclass(frozen=True)
@@ -144,9 +142,12 @@ class Strategy:
 
 @dataclass(frozen=True)
 class StrengthParam:
+    """The swept attack-strength parameter: its name, range and the values a run sweeps."""
+
     name: str
     lo: float
     hi: float
+    values: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -160,11 +161,11 @@ class AttackScenario:
     strategy: Strategy
     strength: StrengthParam
 
-    def attacked_fraction(self, phase: str, label: Label, strength: float | None) -> float:
+    def attacked_fraction(self, phase: str, label: Label, strength: float) -> float:
         raw = self.strategy.attacked_fraction.get((phase, label), 0.0)
         return float(_resolve(raw, strength))
 
-    def prior_override(self, strength: float | None) -> float | None:
+    def prior_override(self, strength: float) -> float | None:
         return _resolve(self.strategy.prior_override, strength)
 
     def untouched(self, phase: str, strength: float, source: Dataset) -> bool:
@@ -185,67 +186,28 @@ class AttackScenario:
 
 
 # ---------------------------------------------------------------------------
-# budgets
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AttackBudget:
-    """Maximum number of feature flips per sample."""
-
-    n_max: int
-
-    def __post_init__(self):
-        if self.n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-
-
-# ---------------------------------------------------------------------------
 # greedy evasion of a linear discriminant
 # ---------------------------------------------------------------------------
 
 
-def gwi_bwo_attack(x: np.ndarray, model: LinearModel, budget: AttackBudget) -> np.ndarray:
-    """Greedy good-word-insertion / bad-word-obfuscation feature flips.
-
-    Scans features by decreasing |weight| (ties by ascending index), sets a
-    feature to 1 when its weight is negative and it is 0, to 0 when its
-    weight is positive and it is 1, and stops after ``n_max`` flips.  This
-    minimizes the discriminant over the Hamming ball of radius ``n_max``;
-    zero-weight features are never flipped.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    w = model.weights
-    if x.shape != w.shape:
-        raise ValueError(f"dimension mismatch: feature vector {x.shape}, model {w.shape}")
-    if not np.all((x == 0.0) | (x == 1.0)):
-        raise ValueError("gwi/bwo attack requires a binary feature vector")
-    if budget.n_max > x.size:
-        raise ValueError(f"n_max={budget.n_max} exceeds dimension {x.size}")
-    out = x.copy()
-    flips = 0
-    for i in np.argsort(-np.abs(w), kind="stable"):
-        if flips >= budget.n_max:
-            break
-        if w[i] < 0.0 and out[i] == 0.0:
-            out[i] = 1.0
-            flips += 1
-        elif w[i] > 0.0 and out[i] == 1.0:
-            out[i] = 0.0
-            flips += 1
-    return out
-
-
 def gwi_bwo_pool(source: Dataset, model: LinearModel, n_max: int) -> Dataset:
-    """Apply the greedy attack to every source sample (one output per input)."""
+    """Greedy good-word-insertion / bad-word-obfuscation flips of every source sample (one output per input).
+
+    Each sample's features are scanned by decreasing |weight| (ties by
+    ascending index): a feature is set to 1 when its weight is negative and
+    it is 0, cleared to 0 when its weight is positive and it is 1, and the
+    scan stops after ``n_max`` flips.  This minimizes the discriminant over
+    the Hamming ball of radius ``n_max``; zero-weight features are never
+    flipped.
+    """
     X = source.features
     w = model.weights
     if X.shape[1] != w.shape[0]:
         raise ValueError("dimension mismatch between pool and model")
     if not source.is_binary():
         raise ValueError("gwi/bwo attack requires binary feature vectors")
-    if n_max > X.shape[1]:
-        raise ValueError(f"n_max={n_max} exceeds dimension {X.shape[1]}")
+    if not 0 <= n_max <= X.shape[1]:
+        raise ValueError(f"n_max must be nonnegative and at most the dimension {X.shape[1]}, got {n_max}")
     order = np.argsort(-np.abs(w), kind="stable")
     cand = ((w < 0.0) & (X == 0.0)) | ((w > 0.0) & (X == 1.0))
     cand_o = cand[:, order]  # scan order: decreasing |w|, ties by index
@@ -268,31 +230,17 @@ def gwi_bwo_pool(source: Dataset, model: LinearModel, n_max: int) -> Dataset:
 _TRAIT_INDEX = {Trait.FINGERPRINT: 0, Trait.FACE: 1}
 
 
-def spoof_substitution(impostor: np.ndarray, target_genuine: np.ndarray, trait: Trait) -> np.ndarray:
-    """Replace one matching score of an impostor pair with the target's score.
-
-    Simulates a perfect replica of the targeted trait; the untouched
-    coordinate is returned bit-identical.
-    """
-    impostor = np.asarray(impostor, dtype=np.float64)
-    target = np.asarray(target_genuine, dtype=np.float64)
-    if impostor.shape != (2,) or target.shape != (2,):
-        raise ValueError("score pairs must be 2-vectors (fingerprint, face)")
-    if not (np.all(np.isfinite(impostor)) and np.all(np.isfinite(target))):
-        raise ValueError("score pairs must be finite")
-    out = impostor.copy()
-    idx = _TRAIT_INDEX[trait]
-    out[idx] = target[idx]
-    return out
-
-
 def build_spoof_pool(
     impostor_pool: Dataset,
     genuine_pool: Dataset,
     trait: Trait,
     rng: np.random.Generator,
 ) -> Dataset:
-    """One spoofed sample per impostor, each targeting a uniformly drawn genuine user."""
+    """One spoofed sample per impostor, each targeting a uniformly drawn genuine user.
+
+    The targeted trait's matching score is replaced with the target's, as a
+    perfect replica of that trait would; the other score is kept bit-identical.
+    """
     if len(genuine_pool) == 0:
         raise ValueError("empty genuine pool: no spoof targets available")
     if len(impostor_pool) == 0:
@@ -366,8 +314,7 @@ def check_scenario_consistency(scenario: AttackScenario) -> list[str]:
         return [f"unknown generator {strat.generator!r}; available: {', '.join(GENERATORS)}"]
     if scenario.influence is Influence.EXPLORATORY:
         touches_training = cap.affects_training or any(
-            ph == "train" and (isinstance(v, _Strength) or v > 0)
-            for (ph, _l), v in strat.attacked_fraction.items()
+            ph == "train" and _can_be_positive(v) for (ph, _l), v in strat.attacked_fraction.items()
         )
         if touches_training or strat.prior_override is not None:
             violations.append("exploratory attacks affect only testing data")
@@ -394,11 +341,11 @@ def check_scenario_consistency(scenario: AttackScenario) -> list[str]:
                 f"strategy attacks up to {bound:g} of {label.value} {phase} samples "
                 f"but capability controls {cap_frac:g}"
             )
-        if phase == "train" and not cap.affects_training and bound > 0:
+        if phase == "train" and not cap.affects_training and _can_be_positive(frac):
             violations.append("strategy modifies training data without the capability")
-        if phase == "test" and not cap.affects_testing and bound > 0:
+        if phase == "test" and not cap.affects_testing and _can_be_positive(frac):
             violations.append("strategy modifies testing data without the capability")
-        if (phase, label) != (generator.phase, Label.MALICIOUS) and (isinstance(frac, _Strength) or frac > 0):
+        if (phase, label) != (generator.phase, Label.MALICIOUS) and _can_be_positive(frac):
             violations.append(
                 f"strategy attacks {label.value} {phase} samples but generator {strat.generator} "
                 f"replaces only {Label.MALICIOUS.value} {generator.phase} samples"

@@ -7,9 +7,9 @@
 * likelihood-ratio score fusion backed by per-class products of Gamma
   densities fitted by Newton maximum likelihood.
 
-All model families expose a common scalar score through
-:func:`decision_score`, oriented so that *larger means more malicious*;
-thresholding it at 0 reproduces each family's native decision rule.
+All model families are scored by one batch function,
+:func:`decision_scores`, oriented so that *larger means more malicious*;
+thresholding a score at 0 reproduces each family's native decision rule.
 """
 
 from __future__ import annotations
@@ -38,12 +38,9 @@ __all__ = [
     "rbf_kernel",
     "fit_gamma_mle",
     "fit_gamma_product",
-    "decision_score",
     "decision_scores",
     "train_classifier",
 ]
-
-Score = float
 
 
 @dataclass(frozen=True)
@@ -491,7 +488,7 @@ def _llr_scores(model: FusionModel, X: np.ndarray) -> np.ndarray:
 
 
 def decision_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    """Batch scores for a matrix of row vectors; larger = more malicious."""
+    """Scores of the rows of ``X``; larger = more malicious, and 0 is the family's native decision boundary."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.dimension:
         raise ValueError(f"dimension mismatch: model expects {model.dimension}, got {X.shape[1]}")
@@ -502,11 +499,6 @@ def decision_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     if isinstance(model, FusionModel):
         return _llr_scores(model, X) + np.log(model.threshold)
     raise TypeError(f"unknown model family {type(model).__name__}")
-
-
-def decision_score(model: TrainedModel, x: np.ndarray) -> Score:
-    """Scalar decision score; thresholding at 0 reproduces the native rule."""
-    return float(decision_scores(model, np.atleast_2d(x))[0])
 
 
 # ---------------------------------------------------------------------------

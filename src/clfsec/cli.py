@@ -167,7 +167,7 @@ def _cmd_evaluate(args) -> int:
         folds,
         run.scenario,
         run.classifier,
-        run.strengths,
+        run.scenario.strength.values,
         run.metric,
         seed=run.seed,
         repetitions=run.repetitions,

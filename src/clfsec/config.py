@@ -124,7 +124,6 @@ class RunConfig:
     classifier: ClassifierConfig
     scenario: AttackScenario
     metric: Metric
-    strengths: tuple[float, ...]
     collect_roc: tuple[float, ...]
     seed: int
     repetitions: int
@@ -166,13 +165,10 @@ def parse_config(cfg: Mapping, base_dir: Path = Path()) -> RunConfig:
     parse("resampling", resampling_from_config, data)
     parse("classifier", classifier_from_config, cfg["classifier"])
     parse("scenario", scenario_from_config, attack)
-    try:
-        fields["strengths"] = tuple(float(s) for s in attack["strength"]["values"])
-    except (KeyError, TypeError, ValueError):
-        fields["strengths"] = ()
-    if "scenario" in fields:
+    strengths = fields["scenario"].strength.values if "scenario" in fields else None  # None: they did not parse
+    if strengths is not None:
         family = fields["classifier"].family if "classifier" in fields else None  # a bad classifier is reported once
-        problems.extend(sweep_problems(fields["scenario"], fields["strengths"], family))
+        problems.extend(sweep_problems(fields["scenario"], strengths, family))
     parse("metric", metric_from_config, ev)
     parse("seed", _integer, ev.get("seed", 0), "evaluation.seed")
     parse("repetitions", _integer, ev.get("repetitions", 1), "evaluation.repetitions", 1)
@@ -182,7 +178,7 @@ def parse_config(cfg: Mapping, base_dir: Path = Path()) -> RunConfig:
     except (TypeError, ValueError):
         problems.append("evaluation.collect_roc must be a numeric list")
     else:
-        missing = [s for s in fields["collect_roc"] if s not in fields["strengths"]]
+        missing = [s for s in fields["collect_roc"] if strengths is not None and s not in strengths]
         if missing:
             problems.append(f"evaluation.collect_roc values {missing} are not among attack.strength.values")
     parse("out_dir", _path, cfg["output"].get("directory", "out"), "output.directory")
@@ -408,6 +404,7 @@ def scenario_from_config(attack_section: Mapping) -> AttackScenario:
             name=get("strength.name", _string),
             lo=get("strength.lo", _number, min(values, default=0.0)),
             hi=get("strength.hi", _number, max(values, default=1.0)),
+            values=tuple(values),
         ),
     )
     if problems:

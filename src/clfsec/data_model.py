@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Protocol, Sequence, Union
+from typing import Callable, Mapping, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .special import gammaln
 __all__ = [
     "Label",
     "AttackFlag",
-    "Sample",
     "Dataset",
     "encode_labels",
     "DiagonalGaussian",
@@ -103,21 +102,13 @@ _CELL_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One labelled feature vector with attack provenance."""
-
-    features: np.ndarray
-    label: Label
-    flag: AttackFlag = AttackFlag.CLEAN
-
-
 class Dataset:
     """Immutable ordered collection of samples with a fixed dimension.
 
     Stored columnar: ``features`` is an ``(n, d)`` float array, labels and
-    flags are small integer arrays.  Order is stable, so sampling and
-    incremental attacks are reproducible.
+    flags are small integer arrays; row ``i`` is ``features[i]``,
+    ``label_codes[i]`` and ``flag_codes[i]``.  Order is stable, so sampling
+    and incremental attacks are reproducible.
 
     Construction marks the arrays read-only without copying when they are
     already contiguous float64; a caller that keeps a reference to its
@@ -169,17 +160,6 @@ class Dataset:
     @property
     def dimension(self) -> int:
         return self.features.shape[1]
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(
-            self.features[i],
-            _LABELS[self.label_codes[i]],
-            AttackFlag.ATTACKED if self.flag_codes[i] else AttackFlag.CLEAN,
-        )
-
-    def __iter__(self) -> Iterator[Sample]:
-        for i in range(len(self)):
-            yield self[i]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):

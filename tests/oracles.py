@@ -3,9 +3,10 @@
 These deliberately share no code with the implementations they verify:
 the QP oracle is an accelerated projected-gradient method on the raw dual,
 the attack oracle enumerates the whole Hamming ball, KKT residuals are
-computed straight from the optimality conditions, the information-gain
-reference scores every term on its own with a per-term loop, and the
-FAR-at-GAR reference walks the ROC point by point.
+computed straight from the optimality conditions, the greedy-attack
+reference flips one feature vector's words one at a time, the
+information-gain reference scores every term on its own with a per-term
+loop, and the FAR-at-GAR reference walks the ROC point by point.
 """
 
 from __future__ import annotations
@@ -140,6 +141,23 @@ def hamming_ball_minimum(x: np.ndarray, w: np.ndarray, w0: float, n_max: int) ->
     flips = bits[popcount <= n_max]
     candidates = np.abs(x[None, :] - flips)  # flip x where the mask is set
     return float((candidates @ w).min() + w0)
+
+
+def gwi_bwo_reference(x: np.ndarray, w: np.ndarray, n_max: int) -> np.ndarray:
+    """Greedy word flips of one binary vector, walking features by decreasing |w| (ties by index).
+
+    Sets a feature with negative weight that is 0, clears one with positive
+    weight that is 1, and stops after ``n_max`` flips; zero weights are skipped.
+    """
+    out = np.array(x, dtype=np.float64)
+    flips = 0
+    for i in sorted(range(len(w)), key=lambda j: (-abs(w[j]), j)):
+        if flips == n_max:
+            break
+        if (w[i] < 0.0 and out[i] == 0.0) or (w[i] > 0.0 and out[i] == 1.0):
+            out[i] = 1.0 - out[i]
+            flips += 1
+    return out
 
 
 def _entropy_bits(counts: np.ndarray) -> float:

@@ -11,12 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from clfsec.attacks import (
-    AttackBudget,
-    Trait,
-    build_spoof_pool,
-    gwi_bwo_attack,
-)
+from clfsec.attacks import Trait, build_spoof_pool, gwi_bwo_pool
 from clfsec.classifiers import (
     ClassifierConfig,
     LinearModel,
@@ -83,7 +78,7 @@ def test_criterion_01_greedy_attack_optimality():
             bias = float(np.round(rng.normal(), 6))
             x = (rng.random(d) < 0.5).astype(float)
             model = LinearModel(w, bias)
-            attacked = gwi_bwo_attack(x, model, AttackBudget(n_max))
+            attacked = gwi_bwo_pool(Dataset.from_arrays(x[None, :], [M]), model, n_max).features[0]
             achieved = float(w @ attacked + bias)
             assert achieved == pytest.approx(
                 hamming_ball_minimum(x, w, bias, n_max), abs=1e-12

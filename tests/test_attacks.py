@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from clfsec.attacks import (
     GENERATORS,
-    AttackBudget,
     AttackScenario,
     Capability,
     Influence,
@@ -16,10 +15,8 @@ from clfsec.attacks import (
     build_scenario_pools,
     build_spoof_pool,
     check_scenario_consistency,
-    gwi_bwo_attack,
     gwi_bwo_pool,
     scenario_distribution_specs,
-    spoof_substitution,
 )
 from clfsec.classifiers import LinearModel
 from clfsec.data_model import (
@@ -32,7 +29,7 @@ from clfsec.data_model import (
 )
 
 from canned import canned_scenario
-from oracles import hamming_ball_minimum
+from oracles import gwi_bwo_reference, hamming_ball_minimum
 
 L, M = Label.LEGITIMATE, Label.MALICIOUS
 
@@ -41,23 +38,28 @@ def model(w, b=0.0):
     return LinearModel(np.asarray(w, dtype=float), b)
 
 
+def attack_one(x, m, n_max):
+    """``gwi_bwo_pool`` on a one-row dataset holding ``x``; the attacked row."""
+    return gwi_bwo_pool(Dataset.from_arrays(np.atleast_2d(x), [M]), m, n_max).features[0]
+
+
 class TestGwiBwo:
     def test_single_flip_example(self):
         m = model([2.0, -1.0, 3.0])
-        out = gwi_bwo_attack(np.array([1.0, 1.0, 0.0]), m, AttackBudget(1))
+        out = attack_one(np.array([1.0, 1.0, 0.0]), m, 1)
         np.testing.assert_array_equal(out, [0.0, 1.0, 0.0])
         assert float(m.weights @ out) == -1.0  # g fell from 1 to -1
 
     def test_zero_budget_identity(self):
         m = model([2.0, -1.0, 3.0])
         x = np.array([1.0, 0.0, 1.0])
-        np.testing.assert_array_equal(gwi_bwo_attack(x, m, AttackBudget(0)), x)
+        np.testing.assert_array_equal(attack_one(x, m, 0), x)
 
     def test_full_budget_reaches_global_minimum(self, rng):
         w = rng.normal(size=8)
         m = model(w)
         x = (rng.random(8) < 0.5).astype(float)
-        out = gwi_bwo_attack(x, m, AttackBudget(8))
+        out = attack_one(x, m, 8)
         expected = (w < 0).astype(float)  # negative weights set, positive cleared
         zero = w == 0
         np.testing.assert_array_equal(out[~zero], expected[~zero])
@@ -66,11 +68,15 @@ class TestGwiBwo:
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError, match="binary"):
-            gwi_bwo_attack(np.array([0.5, 0.0]), model([1.0, 1.0]), AttackBudget(1))
+            attack_one(np.array([0.5, 0.0]), model([1.0, 1.0]), 1)
 
     def test_budget_exceeding_dimension_rejected(self):
-        with pytest.raises(ValueError, match="exceeds dimension"):
-            gwi_bwo_attack(np.array([0.0, 1.0]), model([1.0, 1.0]), AttackBudget(3))
+        with pytest.raises(ValueError, match="at most the dimension 2, got 3"):
+            attack_one(np.array([0.0, 1.0]), model([1.0, 1.0]), 3)
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative .* got -1"):
+            attack_one(np.array([0.0, 1.0]), model([1.0, 1.0]), -1)
 
     @given(
         seed=st.integers(0, 10_000),
@@ -84,7 +90,7 @@ class TestGwiBwo:
         w = np.round(rng.normal(size=d), 3)
         x = (rng.random(d) < 0.5).astype(float)
         m = model(w, bias)
-        out = gwi_bwo_attack(x, m, AttackBudget(n_max))
+        out = attack_one(x, m, n_max)
         achieved = float(w @ out + bias)
         assert achieved == pytest.approx(hamming_ball_minimum(x, w, bias, n_max), abs=1e-12)
 
@@ -96,7 +102,7 @@ class TestGwiBwo:
         m = model(w)
         prev = np.inf
         for n_max in range(d + 1):
-            out = gwi_bwo_attack(x, m, AttackBudget(n_max))
+            out = attack_one(x, m, n_max)
             assert np.sum(out != x) <= n_max
             g = float(w @ out)
             assert g <= prev + 1e-12
@@ -118,25 +124,30 @@ class TestGwiBwo:
                 assert np.all(pool.flag_codes == 1)
                 np.testing.assert_array_equal(pool.label_codes, src.label_codes)
                 for i in range(20):
-                    np.testing.assert_array_equal(
-                        pool.features[i], gwi_bwo_attack(X[i], m, AttackBudget(n_max))
-                    )
+                    np.testing.assert_array_equal(pool.features[i], gwi_bwo_reference(X[i], w, n_max))
         for got, want in zip((src.features, src.label_codes, src.flag_codes), before):
             np.testing.assert_array_equal(got, want)  # the source is not mutated
 
 
+def spoof_one(impostor, genuine, trait):
+    """``build_spoof_pool`` with one impostor row and one genuine row; the spoofed row."""
+    imp = Dataset.from_arrays(np.atleast_2d(impostor), [M])
+    gen = Dataset.from_arrays(np.atleast_2d(genuine), [L])
+    return build_spoof_pool(imp, gen, trait, np.random.default_rng(0)).features[0]
+
+
 class TestSpoofing:
     def test_fingerprint_substitution(self):
-        out = spoof_substitution(np.array([0.2, 0.3]), np.array([0.9, 0.8]), Trait.FINGERPRINT)
+        out = spoof_one([0.2, 0.3], [0.9, 0.8], Trait.FINGERPRINT)
         np.testing.assert_array_equal(out, [0.9, 0.3])
 
     def test_face_substitution(self):
-        out = spoof_substitution(np.array([0.2, 0.3]), np.array([0.9, 0.8]), Trait.FACE)
+        out = spoof_one([0.2, 0.3], [0.9, 0.8], Trait.FACE)
         np.testing.assert_array_equal(out, [0.2, 0.8])
 
     def test_fixed_point(self):
         x = np.array([0.4, 0.6])
-        np.testing.assert_array_equal(spoof_substitution(x, x, Trait.FACE), x)
+        np.testing.assert_array_equal(spoof_one(x, x, Trait.FACE), x)
 
     @given(
         imp=st.tuples(st.floats(0, 1), st.floats(0, 1)),
@@ -145,7 +156,7 @@ class TestSpoofing:
     )
     def test_conservation(self, imp, tgt, trait):
         imp = np.array(imp)
-        out = spoof_substitution(imp, np.array(tgt), trait)
+        out = spoof_one(imp, tgt, trait)
         assert np.sum(out != imp) <= 1  # exactly one coordinate moves, or none
 
     def test_pool_single_choice(self):
@@ -153,10 +164,7 @@ class TestSpoofing:
         gen = Dataset.from_arrays(np.array([[0.8, 0.9]]), [L])
         pool = build_spoof_pool(imp, gen, Trait.FINGERPRINT, np.random.default_rng(0))
         assert len(pool) == 1
-        np.testing.assert_array_equal(
-            pool.features[0],
-            spoof_substitution(imp.features[0], gen.features[0], Trait.FINGERPRINT),
-        )
+        np.testing.assert_array_equal(pool.features[0], [0.8, 0.2])  # the target's fingerprint score
 
     def test_pool_cardinality_and_determinism(self, rng):
         imp = Dataset.from_arrays(rng.random((37, 2)), [M] * 37)

@@ -10,7 +10,6 @@ from clfsec.classifiers import (
     FusionModel,
     LinearModel,
     OneClassModel,
-    decision_score,
     decision_scores,
     fit_gamma_mle,
     fit_gamma_product,
@@ -54,7 +53,7 @@ class TestLinearSvm:
         # max-margin boundary at x1 = 1 (midpoint), weight along x1
         np.testing.assert_allclose(m.weights, [1.0, 0.0], atol=1e-8)
         assert m.bias == pytest.approx(-1.0, abs=1e-8)
-        assert decision_score(m, np.array([0.0, 0.0])) < 0 < decision_score(m, np.array([2.0, 0.0]))
+        assert decision_scores(m, np.array([0.0, 0.0]))[0] < 0 < decision_scores(m, np.array([2.0, 0.0]))[0]
 
     def test_inseparable_xor_tolerated(self):
         ds = two_class([[0, 0], [1, 1], [0, 1], [1, 0]], [-1, -1, 1, 1])
@@ -100,7 +99,7 @@ class TestLogisticRegression:
         ds = two_class([[-1.0], [1.0]], [-1, 1])
         m = train_logistic_regression(ds, 0.5, epochs=0, seed=3)
         assert np.all(m.weights == 0) and m.bias == 0
-        assert decision_score(m, np.array([123.0])) == 0.0
+        assert decision_scores(m, np.array([123.0]))[0] == 0.0
 
     def test_gradient_matches_central_differences(self, rng):
         X = rng.normal(size=(15, 4))
@@ -144,9 +143,9 @@ class TestOneClassSvm:
         ds = Dataset.from_arrays(v[None, :], [L])
         m = train_one_class_svm(ds, nu=1.0, gamma=0.7)
         # decision function is maximal at the training point, which is an inlier
-        assert decision_score(m, v) <= 0
-        far = decision_score(m, v + 5.0)
-        assert far > decision_score(m, v)
+        assert decision_scores(m, v)[0] <= 0
+        far = decision_scores(m, v + 5.0)[0]
+        assert far > decision_scores(m, v)[0]
 
     def test_nu_property(self, rng):
         n, nu = 200, 0.05
@@ -313,48 +312,48 @@ class TestGammaFusion:
     def test_llr_decision_rule_inclusive(self):
         model = self._model()  # threshold 1, so the score is -log(ratio)
         x = np.array([0.4, 0.4])
-        ratio = float(np.exp(-decision_score(model, x)))
+        ratio = float(np.exp(-decision_scores(model, x)[0]))
         # rescale the threshold so the effective ratio/threshold is known
         at = lambda r: FusionModel(model.shapes, model.scales, threshold=ratio / r)
-        assert decision_score(at(1.5), x) < 0  # legitimate
-        assert decision_score(at(0.99), x) > 0  # malicious
+        assert decision_scores(at(1.5), x)[0] < 0  # legitimate
+        assert decision_scores(at(0.99), x)[0] > 0  # malicious
         # ">= t" is inclusive: ratio == threshold scores 0, which decides legitimate
-        assert decision_score(at(1.0), x) == pytest.approx(0.0, abs=1e-12)
+        assert decision_scores(at(1.0), x)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_densities_decide_legitimate(self):
         shapes = np.full((2, 2), 3.0)
         scales = np.full((2, 2), 0.5)
         model = FusionModel(shapes, scales, threshold=1.0)
         for x in ([0.1, 0.9], [1.0, 1.0], [5.0, 0.2]):
-            assert decision_score(model, np.array(x)) == pytest.approx(0.0, abs=1e-12)
+            assert decision_scores(model, np.array(x))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_underflow_tie_breaks_malicious(self):
         model = self._model()
         with pytest.warns(RuntimeWarning, match="underflowed"):
-            assert decision_score(model, np.array([0.0, 0.0])) == np.inf
+            assert decision_scores(model, np.array([0.0, 0.0]))[0] == np.inf
 
 
 class TestDecisionScore:
     def test_linear_dot_product(self):
         m = LinearModel(np.array([2.0, -1.0]), 0.0)
-        assert decision_score(m, np.array([1.0, 1.0])) == 1.0
+        assert decision_scores(m, np.array([1.0, 1.0]))[0] == 1.0
 
     def test_one_class_own_point_inlier(self):
         ds = Dataset.from_arrays(np.array([[0.5, 0.5]]), [L])
         m = train_one_class_svm(ds, nu=1.0, gamma=1.0)
-        assert decision_score(m, np.array([0.5, 0.5])) <= 0
+        assert decision_scores(m, np.array([0.5, 0.5]))[0] <= 0
 
     def test_fusion_score_zero_at_threshold(self):
         model = TestGammaFusion()._model()
         x = np.array([0.3, 0.5])
-        ratio = float(np.exp(-decision_score(model, x)))  # threshold 1
+        ratio = float(np.exp(-decision_scores(model, x)[0]))  # threshold 1
         aligned = FusionModel(model.shapes, model.scales, threshold=ratio)
-        assert decision_score(aligned, x) == pytest.approx(0.0, abs=1e-12)
+        assert decision_scores(aligned, x)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         m = LinearModel(np.array([1.0, 2.0]), 0.0)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            decision_score(m, np.array([1.0, 2.0, 3.0]))
+            decision_scores(m, np.array([1.0, 2.0, 3.0]))
 
     def test_score_orientation_staircase(self, rng):
         # for every family: ROC of (score, label) is a valid nonincreasing-TP

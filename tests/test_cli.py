@@ -327,7 +327,10 @@ class TestValidateCommand:
             (
                 "bio_spoof_face",
                 lambda c: c["attack"]["strategy"]["attacked_fraction"]["test"].update(M=1.5),
-                "attacked fraction of M test samples out of range: 1.5",
+                (
+                    "attacked fraction of M test samples out of range: 1.5",
+                    "strategy attacks up to 1.5 of M test samples but capability controls 1",
+                ),
             ),
             (
                 "bio_spoof_face",
@@ -337,7 +340,10 @@ class TestValidateCommand:
             (
                 "bio_spoof_face",
                 lambda c: c["attack"]["strength"].update(hi=1.5, values=[0, 1, 1.5]),
-                "attacked fraction of M test samples is the strength, whose range [0, 1.5] leaves [0, 1]",
+                (
+                    "attacked fraction of M test samples is the strength, whose range [0, 1.5] leaves [0, 1]",
+                    "strategy attacks up to 1.5 of M test samples but capability controls 1",
+                ),
             ),
             (
                 "ids_poison",
@@ -422,6 +428,24 @@ class TestValidateCommand:
             ),
             ("spam_gwi_bwo", lambda c: c["attack"].pop("strategy"), "attack.strategy.generator is required"),
             ("spam_gwi_bwo", lambda c: c["attack"].update(influence="passive"), "attack.influence must be one of"),
+            (
+                "bio_spoof_face",
+                lambda c: c["attack"]["strength"].update(values=[0, "x"]),
+                "attack.strength.values must be a list of numbers, got [0, 'x']",
+            ),
+            (
+                "bio_spoof_face",
+                lambda c: (
+                    c["attack"]["strength"].update(values=[0]),
+                    c["evaluation"].update(collect_roc=[0]),
+                    c["attack"]["strategy"]["attacked_fraction"].update(train={"M": "strength"}),
+                ),
+                (
+                    "exploratory attacks affect only testing data",
+                    "strategy modifies training data without the capability",
+                    "strategy attacks M train samples but generator spoof_face replaces only M test samples",
+                ),
+            ),
         ],
         ids=[
             "strength-above-hi", "collect-roc-not-numeric", "collect-roc-outside-range", "collect-roc-not-a-strength",
@@ -436,6 +460,7 @@ class TestValidateCommand:
             "knowledge-string-flag", "capability-string-flag", "capability-integer-flag", "fraction-boolean",
             "controllable-fraction-string", "prior-override-boolean", "fraction-unknown-label",
             "attack-name-missing", "capability-key-missing", "strategy-missing", "influence-unknown",
+            "strength-values-not-numeric", "strength-train-fraction-zero-range",
         ],
     )
     def test_validate_and_evaluate_reject_alike(self, name, edit, message, tmp_path, capsys):
@@ -444,9 +469,12 @@ class TestValidateCommand:
         edit(cfg)
         path = tmp_path / "c.yaml"
         path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        messages = (message,) if isinstance(message, str) else message  # one per problem line, in order
         for command in ("validate", "evaluate"):
             assert main([command, "--config", str(path)]) == 2
-            assert message in capsys.readouterr().err
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == len(messages), lines
+            assert all(m in line for m, line in zip(messages, lines)), lines
         assert not (tmp_path / "o").exists()
 
     def test_missing_family_reported_once(self, tmp_path, capsys):
@@ -576,7 +604,7 @@ class TestCannedConfigs:
             assert run.doc is cfg
             assert run.scenario.name == cfg["attack"]["name"]
             assert run.classifier.family == cfg["classifier"]["family"]
-            assert run.strengths == tuple(float(s) for s in cfg["attack"]["strength"]["values"])
+            assert run.scenario.strength.values == tuple(float(s) for s in cfg["attack"]["strength"]["values"])
             assert run.seed == cfg["evaluation"]["seed"]
 
 

@@ -54,8 +54,7 @@ class TestDatasetBasics:
     def test_samples_round_trip(self):
         ds = Dataset.from_arrays(np.array([[1.0, 0.0], [0.0, 1.0]]), [M, L], [T, F])
         assert len(ds) == 2 and ds.dimension == 2
-        assert ds[0].label is M and ds[0].flag is T
-        assert ds[1].label is L and ds[1].flag is F
+        assert ds.label_codes.tolist() == [1, 0] and ds.flag_codes.tolist() == [1, 0]
 
     def test_immutable(self):
         ds = labeled_dataset()
@@ -289,9 +288,9 @@ class TestSampleDataset:
         spec = four_cell_spec(src, p_att_m=0.5)
         out = sample_dataset(spec, 400, seed=11)
         pool_rows = {lab: {tuple(r) for r in src.restrict(label=lab).features} for lab in (L, M)}
-        for s in out:
-            if s.flag is F:
-                assert tuple(s.features) in pool_rows[s.label]
+        for row, code, flag in zip(out.features, out.label_codes, out.flag_codes):
+            if flag == 0:
+                assert tuple(row) in pool_rows[M if code else L]
 
     def test_iid_vs_incremental_same_cells(self):
         src = labeled_dataset(20, 20, seed=12)

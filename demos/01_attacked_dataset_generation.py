@@ -1,11 +1,12 @@
 """Drawing attacked datasets from the factorized generative model.
 
 The data model is p(Y) p(A|Y) p(X|Y,A): a class label, a Boolean "was this
-sample manipulated?" flag, and per-(class, flag) feature distributions that
-can be analytic densities, empirical pools, or online attack generators.
-This script builds a spec by hand, samples from it, checks the mixture
-frequencies, and shows the incremental mode where each attack sample sees
-the dataset generated so far.
+sample manipulated?" flag, and per-(class, flag) feature distributions.  As
+in the paper's applications, each p(X|Y,A) is an empirical pool: a dataset
+whose rows are drawn with replacement.  This script builds a spec by hand
+from a legitimate pool, a malicious pool and an attacked pool, samples from
+it, checks the mixture frequencies, and shows that a stronger attack moves
+only the attacked rows of a sampled set.
 """
 
 import numpy as np
@@ -15,49 +16,39 @@ from clfsec import (
     Dataset,
     DiagonalGaussian,
     DistributionSpec,
-    EmpiricalPool,
-    GenerationMode,
     Label,
     sample_dataset,
     validate_spec,
 )
-from clfsec.data_model import Analytic, GeneratorComponent
 
 L, M = Label.LEGITIMATE, Label.MALICIOUS
 F, T = AttackFlag.CLEAN, AttackFlag.ATTACKED
 
-# -- a mixed spec: analytic legitimate traffic, an empirical pool of known
-#    malicious samples, and 30% of malicious samples manipulated online ----
+# -- three pools: Gaussian-drawn legitimate traffic, known malicious samples,
+#    and those malicious samples moved toward legitimate traffic -----------
 
 rng = np.random.default_rng(0)
-known_malicious = Dataset.from_arrays(rng.normal(loc=2.5, size=(25, 2)), [M] * 25)
+legitimate = Dataset.from_arrays(DiagonalGaussian(mean=(0.0, 0.0), std=(1.0, 1.0)).sample(rng, 200), [L] * 200)
+malicious = Dataset.from_arrays(rng.normal(loc=2.5, size=(25, 2)), [M] * 25)
+legitimate_mean = legitimate.features.mean(axis=0)
 
 
-class CentroidChaser:
-    """Toy attack generator: emits points near the current data centroid.
-
-    Because it reads the partial dataset, it only makes sense in the
-    incremental generation mode.
-    """
-
-    dimension = 2
-
-    def generate(self, partial, rng):
-        base = partial.features.mean(axis=0) if partial is not None and len(partial) else np.zeros(2)
-        return base + rng.normal(scale=0.05, size=2)
+def attacked_pool(strength):
+    """The malicious pool moved ``strength`` of the way to the legitimate mean, flagged as attacked."""
+    moved = malicious.features + strength * (legitimate_mean - malicious.features)
+    return Dataset(moved, malicious.label_codes, np.ones(len(malicious), dtype=np.uint8))
 
 
-spec = DistributionSpec(
-    prior_malicious=0.4,
-    attack_prob={L: 0.0, M: 0.3},
-    components={
-        (L, F): Analytic(DiagonalGaussian(mean=(0.0, 0.0), std=(1.0, 1.0))),
-        (M, F): EmpiricalPool(known_malicious),
-        (M, T): GeneratorComponent(CentroidChaser()),
-    },
-    generation_mode=GenerationMode.IID,
-)
+def spec_at(strength):
+    """40% malicious samples, 30% of which the adversary manipulated."""
+    return DistributionSpec(
+        prior_malicious=0.4,
+        attack_prob={L: 0.0, M: 0.3},
+        components={(L, F): legitimate, (M, F): malicious, (M, T): attacked_pool(strength)},
+    )
 
+
+spec = spec_at(0.5)
 print("spec violations:", validate_spec(spec) or "none")
 
 data = sample_dataset(spec, 20_000, seed=7)
@@ -72,15 +63,21 @@ print("expected: (L,F)=0.6000, (M,F)=0.2800, (M,T)=0.1200")
 assert sample_dataset(spec, 20_000, seed=7) == data
 print("\nresampling with the same seed is bit-identical")
 
-# -- incremental mode: attack samples are appended one at a time ----------
+# -- a stronger attack, same seed: only the attacked rows move ------------
 
-incremental = DistributionSpec(
-    prior_malicious=spec.prior_malicious,
-    attack_prob=spec.attack_prob,
-    components=spec.components,
-    generation_mode=GenerationMode.INCREMENTAL_ATTACK_LAST,
+stronger = sample_dataset(spec_at(0.9), 20_000, seed=7)
+attacked = data.flag_codes == 1
+assert np.array_equal(stronger.label_codes, data.label_codes)
+assert np.array_equal(stronger.flag_codes, data.flag_codes)
+assert np.array_equal(stronger.features[~attacked], data.features[~attacked])
+
+
+def distance(rows):
+    return np.linalg.norm(rows - legitimate_mean, axis=1).mean()
+
+
+print(f"\nstrength 0.5 -> 0.9: labels, flags and the {int((~attacked).sum())} clean rows are bit-identical;")
+print(
+    f"the {int(attacked.sum())} attacked rows moved from {distance(data.features[attacked]):.3f} "
+    f"to {distance(stronger.features[attacked]):.3f} (mean distance to the legitimate mean)"
 )
-inc = sample_dataset(incremental, 2_000, seed=7)
-attacked = inc.features[inc.flag_codes == 1]
-print(f"\nincremental mode: {len(attacked)} attack samples chased the centroid;")
-print(f"their mean is {attacked.mean(axis=0).round(3)} (global mean {inc.features.mean(axis=0).round(3)})")

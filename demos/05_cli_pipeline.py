@@ -13,28 +13,29 @@ from pathlib import Path
 
 from clfsec.cli import main
 
-work = Path(tempfile.mkdtemp(prefix="clfsec-demo-"))
-print(f"working under {work}\n")
+with tempfile.TemporaryDirectory(prefix="clfsec-demo-") as tmp:
+    work = Path(tmp)
+    print(f"working under {work}\n")
 
-print("$ clfsec validate --scenario spam_gwi_bwo")
-assert main(["validate", "--scenario", "spam_gwi_bwo"]) == 0
+    print("$ clfsec validate --scenario spam_gwi_bwo")
+    assert main(["validate", "--scenario", "spam_gwi_bwo"]) == 0
 
-print("\n$ clfsec prepare --scenario spam_gwi_bwo --out <dir>")
-assert main(["prepare", "--scenario", "spam_gwi_bwo", "--out", str(work / "svm")]) == 0
+    print("\n$ clfsec prepare --scenario spam_gwi_bwo --out <dir>")
+    assert main(["prepare", "--scenario", "spam_gwi_bwo", "--out", str(work / "svm")]) == 0
 
-reports = []
-for scenario, sub in (("spam_gwi_bwo", "svm"), ("spam_gwi_bwo_lr", "lr")):
-    print(f"\n$ clfsec evaluate --scenario {scenario} --out <dir> --seed 42")
-    assert main(["evaluate", "--scenario", scenario, "--out", str(work / sub), "--seed", "42"]) == 0
-    reports.extend(str(p) for p in (work / sub).glob("report_*.json"))
+    reports = []
+    for scenario, sub in (("spam_gwi_bwo", "svm"), ("spam_gwi_bwo_lr", "lr")):
+        print(f"\n$ clfsec evaluate --scenario {scenario} --out <dir> --seed 42")
+        assert main(["evaluate", "--scenario", scenario, "--out", str(work / sub), "--seed", "42"]) == 0
+        reports.extend(str(p) for p in (work / sub).glob("report_*.json"))
 
-print("\n$ clfsec report <reports...> --out <figures>")
-assert main(["report", *reports, "--out", str(work / "figures")]) == 0
+    print("\n$ clfsec report <reports...> --out <figures>")
+    assert main(["report", *reports, "--out", str(work / "figures")]) == 0
 
-merged = (work / "figures" / "security_curves.csv").read_text().strip().splitlines()
-print("\nmerged figure data (first rows):")
-for line in merged[:6]:
-    print("  " + line)
-hints = json.loads((work / "figures" / "figure_hints.json").read_text())
-print(f"\naxis hints: {hints}")
-print(f"\nartifacts left under {work}")
+    merged = (work / "figures" / "security_curves.csv").read_text().strip().splitlines()
+    print("\nmerged figure data (first rows):")
+    for line in merged[:6]:
+        print("  " + line)
+    hints = json.loads((work / "figures" / "figure_hints.json").read_text())
+    print(f"\naxis hints: {hints}")
+    print(f"\nartifacts were written under {work}, which is removed on exit")

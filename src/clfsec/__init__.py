@@ -15,8 +15,6 @@ from .data_model import (
     Dataset,
     DiagonalGaussian,
     DistributionSpec,
-    EmpiricalPool,
-    GenerationMode,
     Label,
     resample,
     sample_dataset,

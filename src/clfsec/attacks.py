@@ -38,13 +38,7 @@ from typing import Any, Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .data_model import (
-    AttackFlag,
-    Dataset,
-    DistributionSpec,
-    EmpiricalPool,
-    Label,
-)
+from .data_model import AttackFlag, Dataset, DistributionSpec, Label
 from .classifiers import LinearModel
 from .rng import derive_rng
 
@@ -435,7 +429,7 @@ def scenario_distribution_specs(
         cells = ((AttackFlag.CLEAN, source.restrict(label=lab)), (AttackFlag.ATTACKED, attacked.get(lab)))
         for flag, pool in cells:
             if pool is not None and len(pool) > 0:
-                components[(lab, flag)] = EmpiricalPool(pool)
+                components[(lab, flag)] = pool
     spec = DistributionSpec(
         prior_malicious=float(prior),
         attack_prob={lab: scenario.attacked_fraction(phase, lab, strength) for lab in Label},

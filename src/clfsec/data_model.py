@@ -6,20 +6,21 @@ The joint distribution of a sample is factorized as
 
 where ``Y`` is the class (legitimate / malicious) and ``A`` is a Boolean
 flag marking whether the sample was manipulated by the adversary.  A
-:class:`DistributionSpec` holds the three factors; the class-conditional
-components ``p(X | Y=y, A=a)`` are either analytic densities, empirical
-pools sampled with replacement, or online attack generators.
+:class:`DistributionSpec` holds the three factors; each class-conditional
+component ``p(X | Y=y, A=a)`` is an empirical pool, a :class:`Dataset`
+whose rows are drawn with replacement (clean design samples, or samples
+the adversary modified or injected).
 
-:func:`sample_dataset` draws labelled datasets from a spec, either
-i.i.d. or in the incremental mode where attack samples are generated one
-at a time with the partially built dataset visible to the generator.
+:func:`sample_dataset` draws labelled datasets from a spec i.i.d.: the
+class and flag of every sample first, then the pool rows of each
+(label, flag) cell in a fixed cell order.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Mapping, Protocol, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -34,10 +35,6 @@ __all__ = [
     "DiagonalGaussian",
     "GammaProduct",
     "gamma_log_pdf",
-    "Analytic",
-    "EmpiricalPool",
-    "GeneratorComponent",
-    "GenerationMode",
     "DistributionSpec",
     "CrossValidation",
     "Bootstrap",
@@ -107,8 +104,8 @@ class Dataset:
 
     Stored columnar: ``features`` is an ``(n, d)`` float array, labels and
     flags are small integer arrays; row ``i`` is ``features[i]``,
-    ``label_codes[i]`` and ``flag_codes[i]``.  Order is stable, so sampling
-    and incremental attacks are reproducible.
+    ``label_codes[i]`` and ``flag_codes[i]``.  Order is stable, so
+    resampling and sampling are reproducible.
 
     Construction marks the arrays read-only without copying when they are
     already contiguous float64; a caller that keeps a reference to its
@@ -136,21 +133,10 @@ class Dataset:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_arrays(
-        cls,
-        features: np.ndarray,
-        labels: Sequence[Label] | np.ndarray,
-        flags: Sequence[AttackFlag] | np.ndarray | None = None,
-    ) -> "Dataset":
+    def from_arrays(cls, features: np.ndarray, labels: Sequence[Label] | np.ndarray) -> "Dataset":
+        """Clean samples: ``features`` with the labels :func:`encode_labels` reads."""
         features = np.asarray(features, dtype=np.float64)
-        labs = encode_labels(labels)
-        if flags is None:
-            flg = np.zeros(len(features), dtype=np.uint8)
-        elif isinstance(flags, np.ndarray) and flags.dtype != object:
-            flg = flags.astype(np.uint8)
-        else:
-            flg = np.array([_FLAG_CODE[f] for f in flags], dtype=np.uint8)
-        return cls(features, labs, flg)
+        return cls(features, encode_labels(labels), np.zeros(len(features), dtype=np.uint8))
 
     # -- basic protocol ----------------------------------------------------
 
@@ -202,18 +188,8 @@ class Dataset:
 
 
 # ---------------------------------------------------------------------------
-# analytic densities
+# densities the synthetic sources sample from
 # ---------------------------------------------------------------------------
-
-
-class Density(Protocol):
-    dimension: int
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray: ...
-
-    def marginal_pdfs(self) -> list[tuple[Callable[[np.ndarray], np.ndarray], float, float]]:
-        """Per-coordinate pdf plus an integration window covering its mass."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -233,15 +209,6 @@ class DiagonalGaussian:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.normal(loc=self.mean, scale=self.std, size=(n, self.dimension))
-
-    def marginal_pdfs(self):
-        out = []
-        for m, s in zip(self.mean, self.std):
-            def pdf(x, m=m, s=s):
-                return np.exp(-0.5 * ((x - m) / s) ** 2) / (s * np.sqrt(2 * np.pi))
-
-            out.append((pdf, m - 12 * s, m + 12 * s))
-        return out
 
 
 @dataclass(frozen=True)
@@ -264,16 +231,6 @@ class GammaProduct:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.gamma(shape=self.shapes, scale=self.scales, size=(n, self.dimension))
 
-    def marginal_pdfs(self):
-        out = []
-        for k, th in zip(self.shapes, self.scales):
-            def pdf(x, k=k, th=th):
-                return np.exp(gamma_log_pdf(x, k, th))
-
-            hi = k * th + 30 * np.sqrt(k) * th
-            out.append((pdf, 0.0, hi))
-        return out
-
 
 def gamma_log_pdf(x: np.ndarray, shape: float, scale: float) -> np.ndarray:
     """Log-density of Gamma(shape, scale) at each ``x``; -inf where ``x <= 0``."""
@@ -283,61 +240,21 @@ def gamma_log_pdf(x: np.ndarray, shape: float, scale: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# class-conditional components
+# the attacked distribution of one phase
 # ---------------------------------------------------------------------------
-
-
-class OnlineGenerator(Protocol):
-    """Attack generator invoked at the feature-draw step of the sampler."""
-
-    dimension: int
-
-    def generate(self, partial: Dataset | None, rng: np.random.Generator) -> np.ndarray:
-        """Produce one attack feature vector.
-
-        ``partial`` is the dataset built so far (incremental mode only;
-        ``None`` when draws are i.i.d.).
-        """
-        ...
-
-
-@dataclass(frozen=True)
-class Analytic:
-    """Analytically defined p(X | Y=y, A=a)."""
-
-    density: Density
-
-
-@dataclass(frozen=True)
-class EmpiricalPool:
-    """Empirical distribution of a finite pool, sampled with replacement."""
-
-    pool: Dataset
-
-
-@dataclass(frozen=True)
-class GeneratorComponent:
-    """Attack samples produced online by a generator."""
-
-    generator: OnlineGenerator
-
-
-Component = Union[Analytic, EmpiricalPool, GeneratorComponent]
-
-
-class GenerationMode(enum.Enum):
-    IID = "iid"
-    INCREMENTAL_ATTACK_LAST = "incremental_attack_last"
 
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """One phase (training or testing) of the attacked data distribution."""
+    """One phase (training or testing) of the attacked data distribution.
+
+    ``components`` maps each (label, flag) cell to its pool: p(X | Y, A)
+    is the empirical distribution of that dataset's rows.
+    """
 
     prior_malicious: float
     attack_prob: Mapping[Label, float]
-    components: Mapping[tuple[Label, AttackFlag], Component]
-    generation_mode: GenerationMode = GenerationMode.IID
+    components: Mapping[tuple[Label, AttackFlag], Dataset]
 
     def cell_probability(self, label: Label, flag: AttackFlag) -> float:
         p_y = self.prior_malicious if label is Label.MALICIOUS else 1.0 - self.prior_malicious
@@ -347,24 +264,14 @@ class DistributionSpec:
         return p_y * p_a
 
     def dimension(self) -> int:
-        for comp in self.components.values():
-            return _component_dimension(comp)
+        for pool in self.components.values():
+            return pool.dimension
         raise ValueError("spec has no components")
 
 
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
-
-_INTEGRATION_GRID = 20001
-
-
-def _component_dimension(comp: Component) -> int:
-    if isinstance(comp, Analytic):
-        return comp.density.dimension
-    if isinstance(comp, EmpiricalPool):
-        return comp.pool.dimension
-    return comp.generator.dimension
 
 
 def validate_spec(spec: DistributionSpec) -> list[str]:
@@ -377,36 +284,19 @@ def validate_spec(spec: DistributionSpec) -> list[str]:
         if not 0.0 <= p <= 1.0:
             violations.append(f"attack probability out of range for {lab.value}: {p}")
 
-    dims = {_component_dimension(c) for c in spec.components.values()}
+    dims = {pool.dimension for pool in spec.components.values()}
     if len(dims) > 1:
         violations.append(f"components disagree on dimension: {sorted(dims)}")
 
     for lab in _LABELS:
         for flag in (AttackFlag.CLEAN, AttackFlag.ATTACKED):
             p_cell = spec.cell_probability(lab, flag)
-            comp = spec.components.get((lab, flag))
-            if p_cell > 0.0 and comp is None:
+            pool = spec.components.get((lab, flag))
+            if p_cell > 0.0 and pool is None:
                 violations.append(f"missing component for ({lab.value}, {flag.value}) with mass {p_cell:g}")
-            if p_cell > 0.0 and isinstance(comp, EmpiricalPool) and len(comp.pool) == 0:
+            elif p_cell > 0.0 and len(pool) == 0:
                 violations.append(f"empty pool for ({lab.value}, {flag.value}) with mass {p_cell:g}")
-            if isinstance(comp, Analytic):
-                err = _integration_error(comp.density)
-                if err > 1e-3:
-                    violations.append(
-                        f"analytic density for ({lab.value}, {flag.value}) integrates to 1{err:+.2e}"
-                    )
     return violations
-
-
-def _integration_error(density: Density) -> float:
-    """Worst relative deviation of the marginal integrals from 1."""
-    trapezoid = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
-    worst = 0.0
-    for pdf, lo, hi in density.marginal_pdfs():
-        grid = np.linspace(lo, hi, _INTEGRATION_GRID)
-        total = trapezoid(pdf(grid), grid)
-        worst = max(worst, abs(total - 1.0))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -484,17 +374,14 @@ def resample(data: Dataset, method: ResampleMethod, seed: int) -> FoldSet:
 
 
 def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> Dataset:
-    """Draw ``n`` samples from a distribution spec.
+    """Draw ``n`` samples from a distribution spec, i.i.d.
 
     Two independent substreams are derived from ``seed``: one for the
-    class/flag draws and one for the feature draws.  Feature draws happen
-    grouped by (label, flag) cell in a fixed cell order, so two specs that
-    differ only in a cell's pool contents produce pairwise-coupled draws
+    class/flag draws and one for the feature draws.  Each sample's row is
+    drawn with replacement from its cell's pool, one batch per cell in a
+    fixed cell order, so two specs that differ only in a cell's pool
+    contents draw the same labels and flags, and pairwise-coupled rows
     for the unchanged cells.
-
-    In incremental mode all (y, a) pairs are drawn first, then all clean
-    feature vectors, then attack vectors one at a time in sample order,
-    each generator call seeing the dataset built so far.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -515,32 +402,11 @@ def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> Dataset:
     )
     flag_codes = (u_a < p_att).astype(np.uint8)
 
-    d = spec.dimension()
-    features = np.zeros((n, d))
-
-    def draw(comp: Component, m: int, partial: Dataset | None = None) -> np.ndarray:
-        if isinstance(comp, Analytic):
-            return comp.density.sample(feature_rng, m)
-        if isinstance(comp, EmpiricalPool):
-            return comp.pool.features[feature_rng.integers(0, len(comp.pool), size=m)]
-        return np.stack([comp.generator.generate(partial, feature_rng) for _ in range(m)])
-
-    # validate_spec leaves no cell that can be drawn without a component (or with an empty pool);
-    # incremental mode draws the attacked cells last, one sample at a time
-    incremental = spec.generation_mode is GenerationMode.INCREMENTAL_ATTACK_LAST
+    features = np.zeros((n, spec.dimension()))
+    # validate_spec leaves no cell that can be drawn without a non-empty pool
     for lab, flag in _CELL_ORDER:
         idx = np.flatnonzero((label_codes == _LABEL_CODE[lab]) & (flag_codes == _FLAG_CODE[flag]))
-        if idx.size and not (incremental and flag is AttackFlag.ATTACKED):
-            features[idx] = draw(spec.components[(lab, flag)], idx.size)
-    if not incremental:
-        return Dataset(features, label_codes, flag_codes)
-
-    generated = flag_codes == 0
-    for i in np.flatnonzero(flag_codes == 1):
-        comp = spec.components[(_LABELS[label_codes[i]], AttackFlag.ATTACKED)]
-        partial = None
-        if isinstance(comp, GeneratorComponent):
-            partial = Dataset(features[generated], label_codes[generated], flag_codes[generated])
-        features[i] = draw(comp, 1, partial)[0]
-        generated[i] = True
+        if idx.size:
+            pool = spec.components[(lab, flag)]
+            features[idx] = pool.features[feature_rng.integers(0, len(pool), size=idx.size)]
     return Dataset(features, label_codes, flag_codes)

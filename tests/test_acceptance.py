@@ -29,7 +29,6 @@ from clfsec.data_model import (
     CrossValidation,
     Dataset,
     DistributionSpec,
-    EmpiricalPool,
     Label,
     resample,
     sample_dataset,
@@ -96,7 +95,7 @@ def test_criterion_02_sampler_fidelity():
             prior_malicious=prior,
             attack_prob={L: p_l, M: p_m},
             components={
-                (lab, flag): EmpiricalPool(src.restrict(label=lab))
+                (lab, flag): src.restrict(label=lab)
                 for lab in (L, M)
                 for flag in (AttackFlag.CLEAN, AttackFlag.ATTACKED)
             },

@@ -23,7 +23,6 @@ from clfsec.data_model import (
     AttackFlag,
     Dataset,
     DistributionSpec,
-    EmpiricalPool,
     Label,
     sample_dataset,
 )
@@ -232,7 +231,7 @@ class TestPoisoning:
         clean_spec = DistributionSpec(
             prior_malicious=0.0,
             attack_prob={L: 0.0, M: 0.0},
-            components={(L, AttackFlag.CLEAN): EmpiricalPool(d_tr.restrict(label=L))},
+            components={(L, AttackFlag.CLEAN): d_tr.restrict(label=L)},
         )
         poisoned0 = self._train_spec(d_tr, d_ts, 0.0)
         assert sample_dataset(poisoned0, 300, seed=42) == sample_dataset(clean_spec, 300, seed=42)
@@ -353,8 +352,8 @@ class TestScenarioPools:
         # a training spec built anyway holds only the clean slices of the fold
         spec, n = scenario_distribution_specs(scen, "train", 2, d_tr, train_pools)
         assert set(spec.components) == {(L, AttackFlag.CLEAN), (M, AttackFlag.CLEAN)}
-        assert spec.components[(L, AttackFlag.CLEAN)].pool == d_tr.restrict(label=L)
-        assert spec.components[(M, AttackFlag.CLEAN)].pool == d_tr.restrict(label=M)
+        assert spec.components[(L, AttackFlag.CLEAN)] == d_tr.restrict(label=L)
+        assert spec.components[(M, AttackFlag.CLEAN)] == d_tr.restrict(label=M)
         assert spec.attack_prob == {L: 0.0, M: 0.0} and n == len(d_tr)
         test_pools = build_scenario_pools(scen, "test", d_ts, m, 2, 0)
         assert list(test_pools) == [M] and len(test_pools[M]) == 10

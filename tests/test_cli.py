@@ -14,7 +14,7 @@ from clfsec.config import (
 )
 from clfsec.data_model import (
     AttackFlag,
-    EmpiricalPool,
+    Dataset,
     Label,
     resample,
     Chronological,
@@ -640,10 +640,10 @@ class TestTableOneInstantiation:
         assert ts_spec.attack_prob[L] == 0.0
         assert ts_spec.attack_prob[M] == 1.0
         # p_ts(X|y, F) = p_D(X|y) (empirical slices); attack component empirical
-        assert ts_spec.components[(L, F)].pool == d_ts.restrict(label=L)
-        assert ts_spec.components[(M, F)].pool == d_ts.restrict(label=M)
-        assert isinstance(ts_spec.components[(M, T)], EmpiricalPool)
-        assert len(ts_spec.components[(M, T)].pool) == len(d_ts.restrict(label=M))
+        assert ts_spec.components[(L, F)] == d_ts.restrict(label=L)
+        assert ts_spec.components[(M, F)] == d_ts.restrict(label=M)
+        assert isinstance(ts_spec.components[(M, T)], Dataset)
+        assert len(ts_spec.components[(M, T)]) == len(d_ts.restrict(label=M))
 
     def test_biometric_column(self):
         scen = scenario_from_config(canned_config("bio_spoof_fingerprint")["attack"])
@@ -657,8 +657,8 @@ class TestTableOneInstantiation:
         assert ts_spec.prior_malicious == d_ts.empirical_prior_malicious()
         assert ts_spec.attack_prob[L] == 0.0
         assert ts_spec.attack_prob[M] == 1.0
-        assert ts_spec.components[(L, F)].pool == d_ts.restrict(label=L)
-        assert isinstance(ts_spec.components[(M, T)], EmpiricalPool)
+        assert ts_spec.components[(L, F)] == d_ts.restrict(label=L)
+        assert isinstance(ts_spec.components[(M, T)], Dataset)
 
     def test_ids_column(self):
         scen = scenario_from_config(canned_config("ids_poison")["attack"])
@@ -675,8 +675,8 @@ class TestTableOneInstantiation:
         assert tr_spec.attack_prob[L] == 0.0
         assert tr_spec.attack_prob[M] == 1.0
         # p_tr(X|L,F) = p_D(X|L); attack pool equals the malicious testing pool
-        assert tr_spec.components[(L, F)].pool == d_tr.restrict(label=L)
-        attacked = tr_spec.components[(M, T)].pool
+        assert tr_spec.components[(L, F)] == d_tr.restrict(label=L)
+        attacked = tr_spec.components[(M, T)]
         np.testing.assert_array_equal(
             attacked.features, d_ts.restrict(label=M).features
         )

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from clfsec.data_model import (
-    Analytic,
     AttackFlag,
     Bootstrap,
     Chronological,
@@ -13,10 +12,7 @@ from clfsec.data_model import (
     Dataset,
     DiagonalGaussian,
     DistributionSpec,
-    EmpiricalPool,
     GammaProduct,
-    GenerationMode,
-    GeneratorComponent,
     Label,
     encode_labels,
     gamma_log_pdf,
@@ -36,23 +32,14 @@ def labeled_dataset(n_l=5, n_m=5, d=3, seed=0):
     return Dataset.from_arrays(X, [L] * n_l + [M] * n_m)
 
 
-def four_cell_spec(pool_source: Dataset, prior=0.5, p_att_l=0.0, p_att_m=0.0, mode=GenerationMode.IID):
-    pools = {
-        (lab, flag): EmpiricalPool(pool_source.restrict(label=lab))
-        for lab in (L, M)
-        for flag in (F, T)
-    }
-    return DistributionSpec(
-        prior_malicious=prior,
-        attack_prob={L: p_att_l, M: p_att_m},
-        components=pools,
-        generation_mode=mode,
-    )
+def four_cell_spec(pool_source: Dataset, prior=0.5, p_att_l=0.0, p_att_m=0.0):
+    pools = {(lab, flag): pool_source.restrict(label=lab) for lab in (L, M) for flag in (F, T)}
+    return DistributionSpec(prior_malicious=prior, attack_prob={L: p_att_l, M: p_att_m}, components=pools)
 
 
 class TestDatasetBasics:
     def test_samples_round_trip(self):
-        ds = Dataset.from_arrays(np.array([[1.0, 0.0], [0.0, 1.0]]), [M, L], [T, F])
+        ds = Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]), encode_labels([M, L]), np.array([1, 0]))
         assert len(ds) == 2 and ds.dimension == 2
         assert ds.label_codes.tolist() == [1, 0] and ds.flag_codes.tolist() == [1, 0]
 
@@ -104,12 +91,23 @@ class TestGammaLogPdf:
         for shape in (0.5, 1.0, 3.0):
             assert np.all(gamma_log_pdf(x, shape, 1.5) == -np.inf)
 
-    def test_product_marginals_are_its_exponential(self):
-        density = GammaProduct((2.0, 0.7), (0.5, 3.0))
-        x = np.linspace(-1.0, 20.0, 301)
-        for (pdf, _lo, _hi), k, th in zip(density.marginal_pdfs(), density.shapes, density.scales):
-            assert np.array_equal(pdf(x), np.exp(gamma_log_pdf(x, k, th)))
-            assert np.all(pdf(x[x <= 0]) == 0.0)
+
+class TestDensities:
+    def test_sampling_dimension_support_and_mean(self):
+        rng = np.random.default_rng(17)
+        n = 2_000
+        gamma = GammaProduct((2.0, 3.0), (1.0, 0.5))
+        x = gamma.sample(rng, n)
+        assert gamma.dimension == 2 and x.shape == (n, 2)
+        assert np.all(x > 0)
+        # first moment shape * scale, within 5 standard errors sqrt(shape) * scale / sqrt(n)
+        assert np.all(np.abs(x.mean(axis=0) - (2.0, 1.5)) < 5 * np.sqrt((2.0, 3.0)) * (1.0, 0.5) / np.sqrt(n))
+
+        gauss = DiagonalGaussian((0.0, 5.0, -1.0), (1.0, 2.0, 0.5))
+        x = gauss.sample(rng, n)
+        assert gauss.dimension == 3 and x.shape == (n, 3)
+        assert np.all(np.isfinite(x))
+        assert np.all(np.abs(x.mean(axis=0) - (0.0, 5.0, -1.0)) < 5 * np.array((1.0, 2.0, 0.5)) / np.sqrt(n))
 
 
 class TestValidateSpec:
@@ -123,8 +121,8 @@ class TestValidateSpec:
             prior_malicious=0.5,
             attack_prob={L: 0.0, M: 1.0},
             components={
-                (L, F): EmpiricalPool(src.restrict(label=L)),
-                (M, F): EmpiricalPool(src.restrict(label=M)),
+                (L, F): src.restrict(label=L),
+                (M, F): src.restrict(label=M),
             },
         )
         report = validate_spec(spec)
@@ -141,38 +139,11 @@ class TestValidateSpec:
             prior_malicious=0.5,
             attack_prob={L: 0.0, M: 0.0},
             components={
-                (L, F): EmpiricalPool(src.restrict(label=L)),
-                (M, F): EmpiricalPool(src.restrict(label=M)),
+                (L, F): src.restrict(label=L),
+                (M, F): src.restrict(label=M),
             },
         )
         assert any("empty pool" in v for v in validate_spec(spec))
-
-    def test_analytic_density_integration(self):
-        good = DistributionSpec(
-            prior_malicious=1.0,
-            attack_prob={L: 0.0, M: 0.0},
-            components={(M, F): Analytic(DiagonalGaussian((0.0, 1.0), (1.0, 2.0)))},
-        )
-        assert validate_spec(good) == []
-
-        class HalfDensity:
-            dimension = 1
-
-            def sample(self, rng, n):
-                return np.abs(rng.normal(size=(n, 1)))
-
-            def marginal_pdfs(self):
-                def pdf(x):
-                    return np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi)
-
-                return [(pdf, 0.0, 12.0)]  # integrates to 0.5
-
-        bad = DistributionSpec(
-            prior_malicious=1.0,
-            attack_prob={L: 0.0, M: 0.0},
-            components={(M, F): Analytic(HalfDensity())},
-        )
-        assert any("integrates" in v for v in validate_spec(bad))
 
 
 class TestResample:
@@ -223,7 +194,7 @@ class TestSampleDataset:
         spec = DistributionSpec(
             prior_malicious=1.0,
             attack_prob={L: 0.0, M: 1.0},
-            components={(M, T): EmpiricalPool(pool)},
+            components={(M, T): pool},
         )
         out = sample_dataset(spec, 5, seed=0)
         assert len(out) == 5
@@ -256,7 +227,7 @@ class TestSampleDataset:
         spec = DistributionSpec(
             prior_malicious=1.0,
             attack_prob={L: 0.0, M: 1.0},
-            components={(M, T): EmpiricalPool(pool)},
+            components={(M, T): pool},
         )
         with pytest.raises(ValueError, match=r"\(M, T\)"):
             sample_dataset(spec, 3, seed=0)
@@ -292,75 +263,33 @@ class TestSampleDataset:
             if flag == 0:
                 assert tuple(row) in pool_rows[M if code else L]
 
-    def test_iid_vs_incremental_same_cells(self):
-        src = labeled_dataset(20, 20, seed=12)
-
-        class IgnorantGenerator:
-            dimension = 3
-
-            def generate(self, partial, rng):
-                return rng.normal(size=3)
-
-        comps = {
-            (L, F): EmpiricalPool(src.restrict(label=L)),
-            (M, F): EmpiricalPool(src.restrict(label=M)),
-            (M, T): GeneratorComponent(IgnorantGenerator()),
-        }
-        mk = lambda mode: DistributionSpec(0.5, {L: 0.0, M: 0.6}, comps, mode)
-        a = sample_dataset(mk(GenerationMode.IID), 800, seed=21)
-        b = sample_dataset(mk(GenerationMode.INCREMENTAL_ATTACK_LAST), 800, seed=21)
-        cells_a = sorted(zip(a.label_codes.tolist(), a.flag_codes.tolist()))
-        cells_b = sorted(zip(b.label_codes.tolist(), b.flag_codes.tolist()))
-        assert cells_a == cells_b
-
-    def test_incremental_generator_sees_growing_partial(self):
-        src = labeled_dataset(10, 10, seed=13)
-        seen_sizes = []
-
-        class Recorder:
-            dimension = 3
-
-            def generate(self, partial, rng):
-                seen_sizes.append(len(partial))
-                return np.zeros(3)
-
-        spec = DistributionSpec(
-            prior_malicious=0.5,
-            attack_prob={L: 0.0, M: 1.0},
-            components={
-                (L, F): EmpiricalPool(src.restrict(label=L)),
-                (M, T): GeneratorComponent(Recorder()),
-            },
-            generation_mode=GenerationMode.INCREMENTAL_ATTACK_LAST,
-        )
-        out = sample_dataset(spec, 60, seed=3)
-        n_clean = int(np.sum(out.flag_codes == 0))
-        # first attack draw sees exactly the clean samples, then one more each time
-        assert seen_sizes == list(range(n_clean, 60))
-
-    def test_incremental_pool_draws_in_stream_order(self):
-        # clean cells are drawn in batches in cell order, then one pool row per
-        # attacked sample in sample order, all from the one feature substream
+    def test_pool_draws_in_cell_order(self):
+        # one feature-substream batch per non-empty cell, in the order (L,F), (L,T), (M,F), (M,T)
         src = labeled_dataset(10, 10, seed=15)
-        clean = {L: src.restrict(label=L), M: src.restrict(label=M)}
-        attacked = {
-            lab: Dataset(pool.features + 100.0, pool.label_codes, np.ones(10, dtype=np.uint8))
-            for lab, pool in clean.items()
-        }
-        components = {(lab, F): EmpiricalPool(pool) for lab, pool in clean.items()}
-        components.update({(lab, T): EmpiricalPool(pool) for lab, pool in attacked.items()})
-        spec = DistributionSpec(0.5, {L: 0.3, M: 0.6}, components, GenerationMode.INCREMENTAL_ATTACK_LAST)
-        out = sample_dataset(spec, 300, seed=5)
-        rng = derive_rng(5, "features")
-        want = np.zeros((300, 3))
-        for lab, pool in clean.items():
-            idx = np.flatnonzero((out.label_codes == (lab is M)) & (out.flag_codes == 0))
-            want[idx] = pool.features[rng.integers(0, len(pool), size=idx.size)]
-        for i in np.flatnonzero(out.flag_codes == 1):
-            pool = attacked[M if out.label_codes[i] else L]
-            want[i] = pool.features[rng.integers(0, len(pool), size=1)[0]]
-        assert 0 < int(out.flag_codes.sum()) < 300
-        assert np.array_equal(out.features, want)
+        components = {}
+        for lab in (L, M):
+            pool = src.restrict(label=lab)
+            components[(lab, F)] = pool
+            components[(lab, T)] = Dataset(pool.features + 100.0, pool.label_codes, np.ones(10, dtype=np.uint8))
+        other = four_cell_spec(labeled_dataset(4, 7, seed=16))
+        for attack_prob in ({L: 0.3, M: 0.6}, {L: 0.0, M: 1.0}):
+            spec = DistributionSpec(0.5, attack_prob, components)
+            out = sample_dataset(spec, 300, seed=5)
+            rng = derive_rng(5, "features")
+            want = np.zeros((300, 3))
+            for lab, flag in ((L, F), (L, T), (M, F), (M, T)):
+                idx = np.flatnonzero((out.label_codes == (lab is M)) & (out.flag_codes == (flag is T)))
+                if idx.size:
+                    pool = components[(lab, flag)]
+                    want[idx] = pool.features[rng.integers(0, len(pool), size=idx.size)]
+            assert 0 < int(out.flag_codes.sum()) < 300
+            assert np.array_equal(out.features, want)
+
+            # pools of other rows and sizes draw the same label and flag codes
+            moved = sample_dataset(DistributionSpec(0.5, attack_prob, other.components), 300, seed=5)
+            assert np.array_equal(moved.label_codes, out.label_codes)
+            assert np.array_equal(moved.flag_codes, out.flag_codes)
+            assert not np.array_equal(moved.features, out.features)
 
     @given(
         prior=st.floats(0.0, 1.0),
@@ -381,14 +310,3 @@ class TestSampleDataset:
         spec = four_cell_spec(labeled_dataset(), prior=0.0)
         out = sample_dataset(spec, 50, seed=0)
         assert np.all(out.label_codes == 0)
-
-    def test_analytic_sampling(self):
-        spec = DistributionSpec(
-            prior_malicious=1.0,
-            attack_prob={L: 0.0, M: 0.0},
-            components={(M, F): Analytic(GammaProduct((2.0, 3.0), (1.0, 0.5)))},
-        )
-        out = sample_dataset(spec, 2_000, seed=17)
-        assert out.dimension == 2
-        assert np.all(out.features > 0)
-        assert abs(out.features[:, 0].mean() - 2.0) < 0.15

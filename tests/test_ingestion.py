@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from clfsec.data_model import AttackFlag, Dataset, Label
+from clfsec.data_model import Dataset, Label
 from clfsec.ingestion import (
     MinMaxBounds,
     Vocabulary,
@@ -348,9 +348,7 @@ class TestTabularIO:
             load_tabular(p)
 
     def test_flags_not_persisted(self, tmp_path):
-        ds = Dataset.from_arrays(
-            np.ones((2, 2)), [M, M], [AttackFlag.ATTACKED, AttackFlag.CLEAN]
-        )
+        ds = Dataset(np.ones((2, 2)), np.array([1, 1]), np.array([1, 0]))
         path = tmp_path / "f.csv"
         write_dense_csv(ds, path)
         back = load_tabular(path)

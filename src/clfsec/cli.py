@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Subcommands wire scenario configs to the pipeline: ``prepare`` ingests raw
-corpora into canonical dataset files, ``evaluate`` (alias ``sweep``) runs a
-security evaluation and writes curve CSVs plus a JSON report, ``report``
-merges reports into plot-ready figure data, ``validate`` checks a config.
+Subcommands wire scenario configs to the pipeline: ``prepare`` ingests the
+source a config names and exports it as a dense-CSV ``dataset.csv`` with a
+``manifest.json``, ``evaluate`` (alias ``sweep``) ingests the same way and
+runs a security evaluation, writing curve CSVs plus a JSON report,
+``report`` merges reports into plot-ready figure data, ``validate`` checks
+a config.  Ingestion is the only way a design set enters a run; to
+evaluate an export, point ``data`` at it with ``source: dense``.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.  Set
 ``CLFSEC_NO_COLOR`` to disable styled output.
@@ -82,7 +85,9 @@ def _ingest(run: RunConfig) -> tuple[Dataset, dict]:
     extras: dict = {"source": run.source}
     if run.source in synth.SOURCES:
         return synth.SOURCES[run.source](**run.synth), extras
-    if run.source in ("dense", "sparse"):
+    if not run.path.is_file():
+        raise ConfigError(f"data.path is not a file: {run.path}")
+    if run.source == "dense":
         return load_tabular(run.path), extras
     if run.source == "scores":
         table = load_scores(run.path)
@@ -91,8 +96,6 @@ def _ingest(run: RunConfig) -> tuple[Dataset, dict]:
     if run.source == "payloads":
         return load_payloads(run.path), extras
     # emails, with chronological resampling (parse_config admits no other source)
-    if not run.path.is_file():
-        raise ConfigError(f"missing index file: {run.path}")
     token_sets, labels, skipped = tokenize_emails(run.path)
     if skipped:
         print(f"skipped {skipped} undecodable document(s)", file=sys.stderr)
@@ -101,22 +104,6 @@ def _ingest(run: RunConfig) -> tuple[Dataset, dict]:
     extras["vocabulary_size"] = len(vocab)
     extras["skipped_documents"] = skipped
     return vectorize_corpus(token_sets, labels, vocab), extras
-
-
-def _load_design_set(run: RunConfig) -> Dataset:
-    """Load the prepared dataset if there is one (it must match the data section), else ingest."""
-    prepared = run.out_dir / "dataset.csv"
-    if prepared.is_file():
-        manifest_path = run.out_dir / "manifest.json"
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8")) if manifest_path.is_file() else {}
-        if manifest.get("config", {}).get("data") != run.doc["data"]:
-            raise ConfigError(
-                f"{prepared} was not prepared from this config's data section "
-                "(manifest.json missing or different); rerun prepare or use another output directory"
-            )
-        return load_tabular(prepared)
-    dataset, _ = _ingest(run)
-    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +148,7 @@ def _cmd_evaluate(args) -> int:
 
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     t0 = time.perf_counter()
-    data = _load_design_set(run)
+    data, _ = _ingest(run)
     folds = resample(data, run.resampling, seed=run.seed)
     curve = security_sweep(
         folds,

@@ -51,7 +51,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _SECTIONS = ("data", "classifier", "attack", "evaluation", "output")
-_FILE_SOURCES = ("dense", "sparse", "emails", "scores", "payloads")
+_FILE_SOURCES = ("dense", "emails", "scores", "payloads")
 
 # the keys each mapping may hold (classifier and data.synth keys come from
 # CLASSIFIER_PARAMS and synth.SOURCES); output.formats is accepted but not read

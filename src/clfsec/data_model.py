@@ -296,6 +296,9 @@ def validate_spec(spec: DistributionSpec) -> list[str]:
                 violations.append(f"missing component for ({lab.value}, {flag.value}) with mass {p_cell:g}")
             elif p_cell > 0.0 and len(pool) == 0:
                 violations.append(f"empty pool for ({lab.value}, {flag.value}) with mass {p_cell:g}")
+            # the cell sets the flag of what it draws, but the pool must hold the cell's label
+            if pool is not None and np.any(pool.label_codes != _LABEL_CODE[lab]):
+                violations.append(f"pool for ({lab.value}, {flag.value}) holds rows of the other label")
     return violations
 
 

@@ -383,7 +383,8 @@ def security_sweep(
 
     Work items are independent; ``jobs`` bounds concurrency and never
     changes the result (values land in a preallocated array and are
-    aggregated in fixed order).
+    aggregated in item order, so a strength's mean and ddof=1 standard
+    deviation do not depend on the other strengths swept).
     """
     strengths = [float(s) for s in strengths]
     problems = sweep_problems(scenario, strengths, classifier_config.family)
@@ -414,8 +415,10 @@ def security_sweep(
         for idx in range(len(items)):
             run_item(idx)
 
-    means = values.mean(axis=0)
-    stds = values.std(axis=0, ddof=1) if len(items) > 1 else np.zeros(len(strengths))
+    # summed row by row in item order: numpy sums a lone column pairwise, which
+    # would make a strength's value depend on how many strengths are swept
+    means = sum(values) / len(items)
+    stds = np.sqrt(sum((values - means) ** 2) / (len(items) - 1)) if len(items) > 1 else np.zeros(len(strengths))
     return SecurityCurve(
         strength_name=scenario.strength.name,
         strengths=tuple(strengths),

@@ -5,17 +5,22 @@ Turns raw material into :class:`~clfsec.data_model.Dataset` objects:
 * email text -> binary bag-of-words over an information-gain vocabulary;
 * network packet payloads -> 256-bin byte-frequency histograms (1-grams);
 * biometric matcher scores -> min-max normalized (fingerprint, face) pairs;
-* generic dense-CSV and sparse-triplet tabular files, round-trippable with
-  the matching writers.
+* dense-CSV dataset files, the one dataset file format, which
+  :func:`write_dense_csv` writes and :func:`load_tabular` reads back
+  bit-exactly.
 
 File formats
 ------------
 Dense CSV            header ``f0,...,f{d-1},label``.
-Sparse triplet       ``<d> <idx>:<val> ... ,<label>`` with 0-based indices.
 Email corpus index   lines ``<label> <path>``, paths relative to the index file.
 Score table CSV      header ``user_id,claimed_id,fing_score,face_score,label``.
 Payload file         one ``<hex>,<label>`` line per packet.
 Labels               any name :meth:`~clfsec.data_model.Label.parse` reads.
+
+Every reader walks the file with one line loop: blank lines are skipped
+everywhere, ``#`` comment lines in the index and payload files only, and
+an error names the offending ``<path>:<line>``.  The two CSV tables start
+with their header on line 1 and reject non-finite numbers.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -45,7 +50,6 @@ __all__ = [
     "load_scores",
     "load_tabular",
     "write_dense_csv",
-    "write_sparse",
 ]
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -53,11 +57,40 @@ _MIN_TOKEN_LEN = 2
 _MAX_TOKEN_LEN = 40
 
 
-def _parse_label(token: str, where: str) -> Label:
+def _lines(path: Path, comments: bool = False) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each stripped, non-blank line; ``comments`` also skips ``#`` lines."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line and not (comments and line[0] == "#"):
+                yield lineno, line
+
+
+def _csv_lines(path: Path) -> tuple[str, Iterator[tuple[int, str]]]:
+    """A CSV table's header (``""`` unless it is on line 1) and its numbered data lines."""
+    lines = _lines(path)
+    lineno, header = next(lines, (1, ""))
+    return (header if lineno == 1 else ""), lines
+
+
+def _bad(path: Path, lineno: int, what: str) -> ValueError:
+    """The error for a bad line: ``<what> at <path>:<line>``."""
+    return ValueError(f"{what} at {path}:{lineno}")
+
+
+def _parse_label(token: str, path: Path, lineno: int) -> Label:
     try:
         return Label.parse(token)
     except ValueError as exc:
-        raise ValueError(f"{exc} at {where}") from None
+        raise _bad(path, lineno, str(exc)) from None
+
+
+def _check_finite(values: np.ndarray, path: Path) -> None:
+    """Reject NaN and infinities in a CSV table's parsed rows (row ``i`` is data line ``i`` of :func:`_csv_lines`)."""
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        lineno, _ = next(islice(_lines(path), bad[0] + 1, None))
+        raise _bad(path, lineno, "non-finite value")
 
 
 # ---------------------------------------------------------------------------
@@ -83,24 +116,20 @@ def tokenize_emails(index_path: str | Path) -> tuple[list[frozenset[str]], list[
     token_sets: list[frozenset[str]] = []
     labels: list[Label] = []
     skipped = 0
-    with open(index_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise ValueError(f"malformed index line {lineno} in {index_path}")
-            lab = _parse_label(parts[0], f"{index_path}:{lineno}")
-            doc_path = index_path.parent / parts[1]
-            try:
-                text = doc_path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as exc:
-                warnings.warn(f"skipping {doc_path.resolve()}: {exc}", stacklevel=2)
-                skipped += 1
-                continue
-            token_sets.append(tokenize_text(text))
-            labels.append(lab)
+    for lineno, line in _lines(index_path, comments=True):
+        parts = line.split(None, 1)
+        if len(parts) != 2:
+            raise _bad(index_path, lineno, "malformed index line")
+        lab = _parse_label(parts[0], index_path, lineno)
+        doc_path = index_path.parent / parts[1]
+        try:
+            text = doc_path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            warnings.warn(f"skipping {doc_path.resolve()}: {exc}", stacklevel=2)
+            skipped += 1
+            continue
+        token_sets.append(tokenize_text(text))
+        labels.append(lab)
     return token_sets, labels, skipped
 
 
@@ -198,25 +227,22 @@ def payload_histogram(payload: bytes) -> np.ndarray:
 
 def load_payloads(path: str | Path) -> Dataset:
     """Read ``<hex>,<label>`` lines into a 256-dimensional histogram dataset."""
+    path = Path(path)
     rows = []
     labels = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                hex_part, label_part = line.rsplit(",", 1)
-            except ValueError:
-                raise ValueError(f"malformed payload line {lineno} in {path}") from None
-            try:
-                payload = bytes.fromhex(hex_part.strip())
-            except ValueError as exc:
-                raise ValueError(f"bad hex payload at line {lineno} in {path}: {exc}") from None
-            if len(payload) == 0:
-                raise ValueError(f"empty payload at line {lineno} in {path}")
-            rows.append(payload_histogram(payload))
-            labels.append(_parse_label(label_part, f"{path}:{lineno}"))
+    for lineno, line in _lines(path, comments=True):
+        try:
+            hex_part, label_part = line.rsplit(",", 1)
+        except ValueError:
+            raise _bad(path, lineno, "malformed payload line") from None
+        try:
+            payload = bytes.fromhex(hex_part.strip())
+        except ValueError as exc:
+            raise _bad(path, lineno, f"bad hex payload ({exc})") from None
+        if len(payload) == 0:
+            raise _bad(path, lineno, "empty payload")
+        rows.append(payload_histogram(payload))
+        labels.append(_parse_label(label_part, path, lineno))
     if not rows:
         raise ValueError(f"no payloads in {path}")
     return Dataset.from_arrays(np.stack(rows), labels)
@@ -246,51 +272,43 @@ class MinMaxBounds:
 class ScoreTable:
     dataset: Dataset
     bounds: MinMaxBounds
-    user_ids: tuple[str, ...]
-    claimed_ids: tuple[str, ...]
+
+
+_SCORE_HEADER = ["user_id", "claimed_id", "fing_score", "face_score", "label"]
 
 
 def load_scores(path: str | Path) -> ScoreTable:
     """Load a matcher-score CSV and min-max normalize each matcher to [0, 1]."""
+    path = Path(path)
+    header, lines = _csv_lines(path)
+    if [h.strip() for h in header.lower().split(",")] != _SCORE_HEADER:
+        raise ValueError(f"score table {path} must start with header {','.join(_SCORE_HEADER)}")
     raw = []
     labels = []
-    users = []
-    claimed = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().lower().split(",")
-        expected = ["user_id", "claimed_id", "fing_score", "face_score", "label"]
-        if [h.strip() for h in header] != expected:
-            raise ValueError(f"score table {path} must start with header {','.join(expected)}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ValueError(f"malformed score row at line {lineno} in {path}")
-            users.append(parts[0].strip())
-            claimed.append(parts[1].strip())
+    for lineno, line in lines:
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise _bad(path, lineno, "malformed score row")
+        try:
             raw.append((float(parts[2]), float(parts[3])))
-            labels.append(_parse_label(parts[4], f"{path}:{lineno}"))
+        except ValueError:
+            raise _bad(path, lineno, "non-numeric score") from None
+        labels.append(_parse_label(parts[4], path, lineno))
     if not raw:
         raise ValueError(f"no score rows in {path}")
     raw_arr = np.array(raw)
+    _check_finite(raw_arr, path)
     lo = raw_arr.min(axis=0)
     hi = raw_arr.max(axis=0)
     for m, name in enumerate(("fing_score", "face_score")):
         if hi[m] == lo[m]:
             raise ValueError(f"degenerate scores: matcher {name} is constant")
     bounds = MinMaxBounds(lo=(float(lo[0]), float(lo[1])), hi=(float(hi[0]), float(hi[1])))
-    return ScoreTable(
-        dataset=Dataset.from_arrays(bounds.apply(raw_arr), labels),
-        bounds=bounds,
-        user_ids=tuple(users),
-        claimed_ids=tuple(claimed),
-    )
+    return ScoreTable(dataset=Dataset.from_arrays(bounds.apply(raw_arr), labels), bounds=bounds)
 
 
 # ---------------------------------------------------------------------------
-# generic tabular IO
+# dense-CSV dataset files
 # ---------------------------------------------------------------------------
 
 
@@ -311,94 +329,27 @@ def write_dense_csv(dataset: Dataset, path: str | Path) -> None:
             fh.write(f"{row},{lab}\n" if d else f"{lab}\n")
 
 
-def write_sparse(dataset: Dataset, path: str | Path) -> None:
-    d = dataset.dimension
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(len(dataset)):
-            nz = np.flatnonzero(dataset.features[i])
-            cells = " ".join(f"{j}:{_fmt(dataset.features[i][j])}" for j in nz)
-            lab = "M" if dataset.label_codes[i] else "L"
-            fh.write(f"{d} {cells},{lab}\n" if len(nz) else f"{d} ,{lab}\n")
-
-
 def load_tabular(path: str | Path) -> Dataset:
-    """Load a dense-CSV or sparse-triplet dataset file (format sniffed)."""
+    """Load a dense-CSV dataset file, as :func:`write_dense_csv` writes it."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-    if first.startswith("f0,") or first.strip() == "label":
-        return _load_dense(path)
-    return _load_sparse(path)
-
-
-def _load_dense(path: Path) -> Dataset:
+    header, lines = _csv_lines(path)
+    columns = header.split(",")
+    if columns[-1] != "label":
+        raise ValueError(f"dense file {path} must end its header with 'label'")
+    d = len(columns) - 1
     rows = []
     labels = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[-1] != "label":
-            raise ValueError(f"dense file {path} must end its header with 'label'")
-        d = len(header) - 1
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != d + 1:
-                raise ValueError(f"ragged row at line {lineno} in {path}: {len(parts) - 1} values, expected {d}")
-            try:
-                rows.append([float(v) for v in parts[:-1]])
-            except ValueError:
-                raise ValueError(f"non-numeric value at line {lineno} in {path}") from None
-            labels.append(_parse_label(parts[-1], f"{path}:{lineno}"))
+    for lineno, line in lines:
+        parts = line.split(",")
+        if len(parts) != d + 1:
+            raise _bad(path, lineno, f"ragged row ({len(parts) - 1} values, expected {d})")
+        try:
+            rows.append([float(v) for v in parts[:-1]])
+        except ValueError:
+            raise _bad(path, lineno, "non-numeric value") from None
+        labels.append(_parse_label(parts[-1], path, lineno))
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    return Dataset.from_arrays(np.array(rows, dtype=np.float64), labels)
-
-
-def _load_sparse(path: Path) -> Dataset:
-    parsed: list[list[tuple[int, float]]] = []
-    labels = []
-    declared = None
-    width = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                left, label_part = line.rsplit(",", 1)
-            except ValueError:
-                raise ValueError(f"malformed sparse row at line {lineno} in {path}") from None
-            fields = left.split()
-            try:
-                d = int(fields[0])
-            except (IndexError, ValueError):
-                raise ValueError(f"missing dimension at line {lineno} in {path}") from None
-            if declared is None:
-                declared = d
-            elif d != declared:
-                raise ValueError(f"ragged row at line {lineno} in {path}: dimension {d} != {declared}")
-            cells = []
-            for cell in fields[1:]:
-                try:
-                    idx_s, val_s = cell.split(":")
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except (ValueError, IndexError):
-                    raise ValueError(f"bad cell {cell!r} at line {lineno} in {path}") from None
-                if idx < 0:
-                    raise ValueError(f"negative index at line {lineno} in {path}")
-                cells.append((idx, val))
-                width = max(width, idx + 1)
-            parsed.append(cells)
-            labels.append(_parse_label(label_part, f"{path}:{lineno}"))
-    if not parsed:
-        raise ValueError(f"no data rows in {path}")
-    # indices beyond the declared dimension widen the dataset
-    dim = max(declared, width)
-    X = np.zeros((len(parsed), dim))
-    for r, cells in enumerate(parsed):
-        for idx, val in cells:
-            X[r, idx] = val
-    return Dataset.from_arrays(X, labels)
+    features = np.array(rows, dtype=np.float64)
+    _check_finite(features, path)
+    return Dataset.from_arrays(features, labels)

@@ -6,12 +6,23 @@ the attack oracle enumerates the whole Hamming ball, KKT residuals are
 computed straight from the optimality conditions, the greedy-attack
 reference flips one feature vector's words one at a time, the
 information-gain reference scores every term on its own with a per-term
-loop, and the FAR-at-GAR reference walks the ROC point by point.
+loop, and the FAR-at-GAR reference walks the ROC point by point.  The
+sweep referee is the exception: it calls the generators' pool functions,
+the sampler, the trainers, the scorer and the ROC, each of which has its
+own tests, and restates in plain code everything the sweep orchestrates.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from clfsec.attacks import GENERATORS
+from clfsec.classifiers import decision_scores, train_classifier
+from clfsec.data_model import AttackFlag, Dataset, DistributionSpec, Label, sample_dataset
+from clfsec.evaluation import Auc10, auc10, far_at_gar, roc
+from clfsec.rng import derive_rng, derive_subseed
 
 
 def project_box_hyperplane(
@@ -214,3 +225,78 @@ def far_at_gar_reference(fp: np.ndarray, tp: np.ndarray, gar: float) -> tuple[fl
             frac = (gar - tp[i - 1]) / (tp[i] - tp[i - 1])
             return float(fp[i - 1] + frac * (fp[i] - fp[i - 1])), True
     return 1.0, False
+
+
+def security_sweep_reference(folds, scenario, classifier_config, strengths, metric, seed, repetitions=1):
+    """``(means, stds, first_item)`` of a security sweep, by the naive schedule.
+
+    For every (fold, repetition) item and every strength it materializes
+    both phases' sets, always retrains, scores every testing row with one
+    ``decision_scores`` call (row-at-a-time products differ from a batched
+    one in the last bit) and computes the metric from ``roc``.  A phase's
+    set is a fresh copy of the fold when the attack leaves the phase
+    untouched, else a sample of the spec and set size assembled here.
+    Mean and ddof=1 standard deviation are plain loops over the items, in
+    item order.  ``first_item`` holds item (fold 0, repetition 0)'s scores
+    and label codes at each strength.  The scenario must be sweepable.
+    """
+    generator = GENERATORS[scenario.strategy.generator]
+
+    def materialize(phase, s, src, d_ts, model, set_seed, pools_seed):
+        cap = scenario.capability
+        fractions = {lab: scenario.attacked_fraction(phase, lab, s) for lab in Label}
+        prior = scenario.prior_override(s) if phase == "train" else None
+        empirical = float(np.mean(src.label_codes == 1))
+        unchanged = all(f == 0.0 for f in fractions.values()) or (generator.noop_at_zero and s == 0.0)
+        touched = cap.affects_training if phase == "train" else cap.affects_testing
+        if not touched or (unchanged and (prior is None or prior == empirical)):
+            return Dataset(src.features.copy(), src.label_codes.copy(), src.flag_codes.copy())
+        attacked = {}
+        if phase == generator.phase and fractions[Label.MALICIOUS] > 0.0:
+            attacked[Label.MALICIOUS] = generator.pool(d_ts, model, s, derive_rng(pools_seed, "pools", phase))
+        n = len(src)
+        if prior is None:
+            prior = empirical
+        elif prior < 1.0:
+            n = int(round(len(src) / (1.0 - prior)))  # the legitimate part keeps the fold's expected size
+        components = {}
+        for lab, code in ((Label.LEGITIMATE, 0), (Label.MALICIOUS, 1)):
+            clean = src.subset(np.flatnonzero(src.label_codes == code))
+            for flag, pool in ((AttackFlag.CLEAN, clean), (AttackFlag.ATTACKED, attacked.get(lab))):
+                if pool is not None and len(pool) > 0:
+                    components[(lab, flag)] = pool
+        return sample_dataset(DistributionSpec(prior, fractions, components), n, set_seed)
+
+    values = []  # one row of metric values per item
+    first_item = []
+    for fi in range(folds.k):
+        d_tr, d_ts = folds.pairs[fi]
+        for rep in range(repetitions):
+            tags = ("fold", fi, "rep", rep)
+            pools_seed = derive_subseed(seed, *tags, "pools")
+            train_seed = derive_subseed(seed, *tags, "train")
+            row = []
+            for s in strengths:
+                s = float(s)
+                tr = materialize("train", s, d_tr, d_ts, None, derive_subseed(seed, *tags, "tr"), pools_seed)
+                model = train_classifier(classifier_config, tr, seed=train_seed)
+                ts = materialize("test", s, d_ts, d_ts, model, derive_subseed(seed, *tags, "ts"), pools_seed)
+                scores = decision_scores(model, ts.features)
+                curve = roc(scores, ts.label_codes)
+                row.append(auc10(curve) if isinstance(metric, Auc10) else far_at_gar(curve, metric.gar).far)
+                if fi == 0 and rep == 0:
+                    first_item.append((scores, ts.label_codes))
+            values.append(row)
+    means, stds = [], []
+    for si in range(len(strengths)):
+        column = [row[si] for row in values]
+        total = 0.0
+        for v in column:
+            total += v
+        mean = total / len(column)
+        squares = 0.0
+        for v in column:
+            squares += (v - mean) * (v - mean)
+        means.append(mean)
+        stds.append(math.sqrt(squares / (len(column) - 1)) if len(column) > 1 else 0.0)
+    return tuple(means), tuple(stds), tuple(first_item)

@@ -83,14 +83,18 @@ class TestPrepare:
         second = json.loads((tmp_path / "out" / "manifest.json").read_text())["files"]
         assert first == second
 
-    def test_missing_index_exits_2(self, email_fixture, capsys, tmp_path):
-        _, cfg_path = email_fixture
-        cfg = yaml.safe_load(cfg_path.read_text())
-        cfg["data"]["path"] = "nowhere/missing-index"
-        bad = tmp_path / "bad.yaml"
-        bad.write_text(yaml.safe_dump(cfg), encoding="utf-8")
-        assert main(["prepare", "--config", str(bad)]) == 2
-        assert "missing-index" in capsys.readouterr().err
+    @pytest.mark.parametrize("source", ["dense", "emails", "scores", "payloads"])
+    def test_missing_data_path_exits_2(self, source, capsys, tmp_path):
+        cfg = canned_config({"emails": "spam_gwi_bwo", "scores": "bio_spoof_face"}.get(source, "ids_poison"))
+        resampling = {"method": "chronological", "split_index": 5} if source == "emails" else cfg["data"]["resampling"]
+        cfg["data"] = {"source": source, "path": "nowhere/missing-input", "resampling": resampling}
+        cfg["output"]["directory"] = str(tmp_path / "out")
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        for command in ("prepare", "evaluate"):
+            capsys.readouterr()
+            assert main([command, "--config", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: data.path is not a file: {tmp_path / 'nowhere/missing-input'}\n"
 
     def test_synthetic_prepare(self, tmp_path):
         assert main(["prepare", "--scenario", "ids_poison", "--out", str(tmp_path / "o")]) == 0
@@ -119,7 +123,7 @@ class TestPrepare:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["dimension"] == 2
         assert "normalization_bounds" in manifest
-        # evaluate picks up the prepared dataset file
+        # evaluate ingests scores.csv again; the exported dataset.csv is not read
         assert main(["evaluate", "--config", str(tmp_path / "c.yaml")]) == 0
         csv = (tmp_path / "out" / "curve_bio_spoof_fingerprint_gamma_fusion.csv").read_text()
         rows = csv.strip().splitlines()
@@ -194,21 +198,35 @@ class TestEvaluate:
         plain = Auc10().compute(decision_scores(model, d_ts.features), d_ts.label_codes)
         assert float(keys["strength0"]) == plain
 
-    def test_stale_prepared_dataset_rejected(self, tmp_path, capsys):
-        out = tmp_path / "o"
+    def test_evaluate_ingests_what_the_config_names(self, tmp_path):
+        # a dataset.csv that prepare left in the output directory is not read
+        out, fresh = tmp_path / "o", tmp_path / "fresh"
         assert main(["prepare", "--scenario", "ids_poison", "--out", str(out)]) == 0
         cfg = canned_config("ids_poison")
         cfg["data"]["synth"]["n_train"] = 120
-        cfg["output"]["directory"] = str(out)
+        path = tmp_path / "c.yaml"
+        csv_name = "curve_ids_poison_one_class_svm.csv"
+        for directory in (out, fresh):
+            cfg["output"]["directory"] = str(directory)
+            path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+            assert main(["evaluate", "--config", str(path)]) == 0
+        assert (out / csv_name).read_bytes() == (fresh / csv_name).read_bytes()
+        canned = tmp_path / "canned"
+        assert main(["evaluate", "--scenario", "ids_poison", "--out", str(canned)]) == 0
+        assert (out / csv_name).read_bytes() != (canned / csv_name).read_bytes()
+
+    def test_prepared_export_evaluates_to_the_same_curve(self, tmp_path):
+        export, own = tmp_path / "export", tmp_path / "own"
+        assert main(["prepare", "--scenario", "ids_poison", "--out", str(export)]) == 0
+        assert main(["evaluate", "--scenario", "ids_poison", "--out", str(own)]) == 0
+        cfg = canned_config("ids_poison")
+        cfg["data"] = {"source": "dense", "path": "export/dataset.csv", "resampling": cfg["data"]["resampling"]}
+        cfg["output"]["directory"] = str(tmp_path / "from_export")
         path = tmp_path / "c.yaml"
         path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
-        capsys.readouterr()
-        assert main(["evaluate", "--config", str(path)]) == 2
-        assert str(out) in capsys.readouterr().err
-        assert not list(out.glob("curve_*.csv"))
-        # without its manifest a prepared dataset cannot be matched to a config
-        (out / "manifest.json").unlink()
-        assert main(["evaluate", "--scenario", "ids_poison", "--out", str(out)]) == 2
+        assert main(["evaluate", "--config", str(path)]) == 0
+        csv_name = "curve_ids_poison_one_class_svm.csv"
+        assert (tmp_path / "from_export" / csv_name).read_bytes() == (own / csv_name).read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "o"

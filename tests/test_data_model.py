@@ -145,6 +145,22 @@ class TestValidateSpec:
         )
         assert any("empty pool" in v for v in validate_spec(spec))
 
+    def test_pool_of_the_other_label_rejected(self):
+        # the cell sets the flag of what it draws, but not the label
+        src = labeled_dataset(n_l=1, n_m=3)
+        mixed = src.subset(np.array([0, 3]))
+        spec = DistributionSpec(
+            prior_malicious=0.5,
+            attack_prob={L: 0.0, M: 1.0},
+            components={(L, F): src.restrict(label=M), (M, T): mixed},
+        )
+        assert validate_spec(spec) == [
+            "pool for (L, F) holds rows of the other label",
+            "pool for (M, T) holds rows of the other label",
+        ]
+        with pytest.raises(ValueError, match=r"invalid spec: pool for \(L, F\) holds rows of the other label"):
+            sample_dataset(spec, 4, seed=0)
+
 
 class TestResample:
     def test_cross_validation_partitions(self):

@@ -1,13 +1,15 @@
 import warnings
 
+import hypothesis
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from clfsec.classifiers import ClassifierConfig, decision_scores, train_classifier
+from clfsec.attacks import GENERATORS
+from clfsec.classifiers import CLASSIFIER_PARAMS, ClassifierConfig, decision_scores, train_classifier
 from clfsec.cli import _ingest
 from clfsec.config import ConfigError, canned_config, classifier_from_config, parse_config, scenario_from_config
-from clfsec.data_model import Chronological, CrossValidation, FoldSet, Label, resample
+from clfsec.data_model import Bootstrap, Chronological, CrossValidation, Dataset, FoldSet, Label, resample
 from clfsec.evaluation import (
     Auc10,
     EvaluationReport,
@@ -25,7 +27,7 @@ from clfsec.evaluation import (
 from clfsec.synth import synthetic_ids_traffic, synthetic_spam_corpus
 
 from canned import canned_scenario
-from oracles import far_at_gar_reference
+from oracles import far_at_gar_reference, security_sweep_reference
 
 L, M = Label.LEGITIMATE, Label.MALICIOUS
 
@@ -306,6 +308,95 @@ class TestSecuritySweep:
         _, folds = self._spam()
         with pytest.raises(ValueError, match="inconsistent scenario"):
             security_sweep(folds, blind, ClassifierConfig("linear_svm", {"c": 1.0}), [0], Auc10(), seed=5)
+
+
+_CANNED_FOR_GENERATOR = {
+    "gwi_bwo": "spam_gwi_bwo",
+    "spoof_fingerprint": "bio_spoof_fingerprint",
+    "spoof_face": "bio_spoof_face",
+    "poison_injection": "ids_poison",
+}
+_TINY_PARAMS = {
+    "linear_svm": {"c": 1.0},
+    "logistic_regression": {"epochs": 3},
+    "one_class_svm": {"nu": 0.2, "gamma": 1.0},
+    "gamma_fusion": {},
+}
+
+
+def _tiny_design_set(binary: bool, seed: int, n_per_class: int = 20) -> Dataset:
+    """Shuffled rows of both classes: 8 binary word features, or 2 positive matcher scores."""
+    rng = np.random.default_rng(seed)
+    y = rng.permutation(np.repeat([0, 1], n_per_class))
+    if binary:
+        p = np.where(y[:, None] == 1, np.linspace(0.7, 0.2, 8), np.linspace(0.2, 0.7, 8))
+        X = (rng.random(p.shape) < p).astype(np.float64)
+    else:
+        X = np.where(y[:, None] == 1, rng.gamma(6.0, 0.05, (len(y), 2)), rng.gamma(18.0, 0.04, (len(y), 2)))
+    return Dataset.from_arrays(X, y)
+
+
+class TestSweepReferee:
+    """``security_sweep`` equals the naive referee bit for bit: curve and first-item scores."""
+
+    @pytest.mark.parametrize(
+        "generator, family",
+        [(g, f) for g in sorted(GENERATORS) for f in sorted(CLASSIFIER_PARAMS) if f in (GENERATORS[g].reads_model or (f,))],
+    )
+    @hypothesis.settings(max_examples=8)
+    @given(
+        fraction=st.sampled_from([0.5, 1.0, "strength"]),
+        prior_override=st.sampled_from([None, 0.25, "strength"]),
+        grid=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+        zero_at=st.integers(0, 4),
+        resampling=st.sampled_from([CrossValidation(2), CrossValidation(4), Bootstrap(3), Chronological(25)]),
+        repetitions=st.integers(1, 2),
+        jobs=st.integers(1, 2),
+        far=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(
+        fraction=1.0, prior_override="strength", grid=[2], zero_at=2,
+        resampling=CrossValidation(2), repetitions=2, jobs=2, far=False, seed=0,
+    )  # the grid (0, 0.5, 0), or (0, 2, 0) flips: repeated and unsorted
+    @example(
+        fraction="strength", prior_override=None, grid=[], zero_at=0,
+        resampling=CrossValidation(4), repetitions=2, jobs=1, far=False, seed=3,
+    )  # one strength, eight items
+    def test_sweep_matches_reference(
+        self, generator, family, fraction, prior_override, grid, zero_at, resampling, repetitions, jobs, far, seed
+    ):
+        attack = canned_config(_CANNED_FOR_GENERATOR[generator])["attack"]
+        attack["strategy"]["attacked_fraction"] = {GENERATORS[generator].phase: {"M": fraction}}
+        if generator != "poison_injection":
+            prior_override = None  # only the causative scenario may override the prior
+        elif prior_override == "strength" and family != "one_class_svm":
+            prior_override = 0.25  # the prior 0 at strength 0 leaves one class to train on
+        attack["strategy"]["prior_override"] = prior_override
+        # grid steps are n_max counts for gwi_bwo, else steps of 0.25 within [0, 1]
+        unit = 0.25 if "strength" in (fraction, prior_override) or generator != "gwi_bwo" else 1.0
+        strengths = [v * unit for v in grid]
+        strengths.insert(min(zero_at, len(strengths)), 0.0)
+        attack["strength"]["values"] = strengths
+        scenario = scenario_from_config(attack)
+        folds = resample(_tiny_design_set(generator == "gwi_bwo", seed), resampling, seed=seed)
+        config = ClassifierConfig(family, _TINY_PARAMS[family])
+        metric = FarAtGar(0.9) if far else Auc10()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # underflowing fusion densities, unreachable GAR
+            try:
+                curve = security_sweep(folds, scenario, config, strengths, metric, seed, repetitions, jobs)
+            except SweepError as exc:  # a sampled training set that holds too few of a class
+                with pytest.raises(type(exc.__cause__)):
+                    security_sweep_reference(folds, scenario, config, strengths, metric, seed, repetitions)
+                return
+            means, stds, first_item = security_sweep_reference(
+                folds, scenario, config, strengths, metric, seed, repetitions
+            )
+        assert (curve.means, curve.stds) == (means, stds)
+        assert len(curve.first_item) == len(first_item) == len(strengths)
+        for (scores, codes), (ref_scores, ref_codes) in zip(curve.first_item, first_item):
+            assert np.array_equal(scores, ref_scores) and np.array_equal(codes, ref_codes)
 
 
 class TestSweepVerdict:

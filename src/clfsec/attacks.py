@@ -168,9 +168,9 @@ class AttackScenario:
         A constant positive attacked fraction keeps a phase attacked at every
         strength where the generator changes samples: ``ids_poison`` at
         p_max = 0 trains on a resample of the clean slices, not on the fold.
+        In a consistent scenario a phase out of the adversary's reach has no
+        attacked fraction and no prior override.
         """
-        if not (self.capability.affects_training if phase == "train" else self.capability.affects_testing):
-            return True
         fractions = [self.attacked_fraction(phase, lab, strength) for lab in Label]
         noop = GENERATORS[self.strategy.generator].noop_at_zero and strength == 0
         if not (all(f == 0.0 for f in fractions) or noop):
@@ -316,6 +316,8 @@ def check_scenario_consistency(scenario: AttackScenario) -> list[str]:
         violations.append(f"specificity out of range: {scenario.specificity}")
     if strat.prior_override is not None and not cap.prior_change_allowed:
         violations.append("strategy overrides class priors but capability forbids it")
+    if strat.prior_override is not None and not cap.affects_training:
+        violations.append("strategy overrides the training prior without the capability to modify training data")
     lo, hi = scenario.strength.lo, scenario.strength.hi
     fractions = [
         (f"attacked fraction of {lab.value} {ph} samples", v) for (ph, lab), v in strat.attacked_fraction.items()
@@ -414,9 +416,11 @@ def scenario_distribution_specs(
     Clean components are the label slices of the resampled ``source``
     (stationarity: unmanipulated samples keep the design distribution);
     attacked components are the pools of :func:`build_scenario_pools`.
-    A training set drawn under a prior override p holds ``len(source) /
-    (1 - p)`` samples, so that its legitimate part keeps the source's
-    expected size; any other set holds ``len(source)``.
+    A cell of zero mass gets no component, so no label slice is copied
+    that the sampler never draws from.  A training set drawn under a prior
+    override p holds ``len(source) / (1 - p)`` samples, so that its
+    legitimate part keeps the source's expected size; any other set holds
+    ``len(source)``.
     """
     n = len(source)
     prior = scenario.prior_override(strength) if phase == "train" else None
@@ -424,15 +428,16 @@ def scenario_distribution_specs(
         prior = source.empirical_prior_malicious()
     elif prior < 1.0:
         n = int(round(n / (1.0 - prior)))
-    components = {}
-    for lab in Label:
-        cells = ((AttackFlag.CLEAN, source.restrict(label=lab)), (AttackFlag.ATTACKED, attacked.get(lab)))
-        for flag, pool in cells:
-            if pool is not None and len(pool) > 0:
-                components[(lab, flag)] = pool
+    components: dict[tuple[Label, AttackFlag], Dataset] = {}
     spec = DistributionSpec(
         prior_malicious=float(prior),
         attack_prob={lab: scenario.attacked_fraction(phase, lab, strength) for lab in Label},
         components=components,
     )
+    for lab in Label:
+        for flag in AttackFlag:
+            if spec.cell_probability(lab, flag) > 0.0:
+                pool = source.restrict(label=lab) if flag is AttackFlag.CLEAN else attacked.get(lab)
+                if pool is not None and len(pool) > 0:
+                    components[(lab, flag)] = pool
     return spec, n

@@ -114,12 +114,7 @@ def _ingest(run: RunConfig) -> tuple[Dataset, dict]:
 def _cmd_prepare(args) -> int:
     run = _load_run(args)
     run.out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        dataset, extras = _ingest(run)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise RuntimeError(f"ingestion stage failed: {exc}") from exc
+    dataset, extras = _ingest(run)
     try:
         dataset_path = run.out_dir / "dataset.csv"
         write_dense_csv(dataset, dataset_path)

@@ -4,17 +4,22 @@ Configs are YAML documents with five sections (data, classifier, attack,
 evaluation, output) and a schema ``version`` key.  The attack section
 spells out the full adversary model, so canned scenarios ship as files a
 user can diff after editing.
+
+One schema (:func:`_schema`) declares every key once, with its parser and
+its default; the classifier family and the data source pick the keys of
+``classifier`` and ``data.synth``.  One reader (:func:`_read`) names each
+unknown key, missing required key and bad value, in every section; the
+rules that tie keys together follow it, in :func:`parse_config`.
 """
 
 from __future__ import annotations
 
-import enum
 import importlib.resources
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import yaml
 
@@ -44,34 +49,12 @@ __all__ = [
     "parse_config",
     "scenario_from_config",
     "classifier_from_config",
-    "metric_from_config",
-    "resampling_from_config",
 ]
 
 SCHEMA_VERSION = 1
 
-_SECTIONS = ("data", "classifier", "attack", "evaluation", "output")
 _FILE_SOURCES = ("dense", "emails", "scores", "payloads")
-
-# the keys each mapping may hold (classifier and data.synth keys come from
-# CLASSIFIER_PARAMS and synth.SOURCES); output.formats is accepted but not read
-_KNOWN_KEYS = {
-    (): ("version", *_SECTIONS),
-    ("data",): ("source", "path", "synth", "vocab_size", "resampling"),
-    ("data", "resampling"): ("method", "k", "split_index"),
-    ("attack",): ("name", "influence", "violation", "specificity", "knowledge", "capability", "strategy", "strength"),
-    ("attack", "knowledge"): ("training_data", "feature_set", "algorithm", "parameters", "feedback"),
-    ("attack", "capability"): (
-        "affects_training", "affects_testing", "prior_change_allowed", "controllable_fraction", "feature_constraints",
-    ),
-    ("attack", "strategy"): ("generator", "attacked_fraction", "prior_override"),
-    ("attack", "strength"): ("name", "values", "lo", "hi"),
-    ("evaluation",): ("metric", "seed", "repetitions", "jobs", "collect_roc"),
-    ("output",): ("directory", "formats"),
-}
-
-# keys older configs may still carry; silently ignoring them would change the curve
-_REMOVED_KEYS = (("data", "train_size"), ("data", "test_size"), ("evaluation", "scale_train_with_prior"))
+_RESAMPLING = {"chronological": Chronological, "cross_validation": CrossValidation, "bootstrap": Bootstrap}
 
 
 class ConfigError(ValueError):
@@ -132,166 +115,91 @@ class RunConfig:
 
 
 def parse_config(cfg: Mapping, base_dir: Path = Path()) -> RunConfig:
-    """Parse and check a whole config; a relative ``data.path`` is taken from ``base_dir``.
+    """Parse and check a whole config, or raise :class:`ConfigError` listing every problem found.
 
-    Raises :class:`ConfigError` listing every problem found.
+    A relative ``data.path`` is taken from ``base_dir``.
     """
+    schema = _schema(cfg)
     problems = []
     if cfg.get("version") != SCHEMA_VERSION:
         problems.append(f"config version must be {SCHEMA_VERSION}, got {cfg.get('version')!r}")
-    for section in _SECTIONS:
-        if not isinstance(cfg.get(section), Mapping):
-            problems.append(f"section {section!r} is missing or not a mapping")
+    for name, spec in schema.items():
+        if isinstance(spec, Mapping) and not isinstance(cfg.get(name), Mapping):
+            problems.append(f"section {name!r} is missing or not a mapping")
     if problems:
         raise ConfigError(*problems)
-    data, attack, ev = cfg["data"], cfg["attack"], cfg["evaluation"]
-    problems.extend(_key_problems(cfg))
-    source = data.get("source")
-    fields: dict[str, Any] = {"doc": cfg, "source": source, "path": None, "synth": {}}
+    values = _read(cfg, schema, "", problems)
 
-    def parse(name: str, parser: Callable, *args) -> None:
-        try:
-            fields[name] = parser(*args)
-        except ConfigError as exc:
-            problems.extend(exc.problems)
-
-    if source in _FILE_SOURCES:
-        parse("path", _path, data.get("path"), "data.path", base_dir)
-    elif source in synth.SOURCES:
-        parse("synth", _synth_kwargs, source, data.get("synth", {}))
-    else:
-        problems.append(f"unknown data.source {source!r}")
-    parse("vocab_size", _integer, data.get("vocab_size", 1000), "data.vocab_size", 1)
-    parse("resampling", resampling_from_config, data)
-    parse("classifier", classifier_from_config, cfg["classifier"])
-    parse("scenario", scenario_from_config, attack)
-    strengths = fields["scenario"].strength.values if "scenario" in fields else None  # None: they did not parse
-    if strengths is not None:
-        family = fields["classifier"].family if "classifier" in fields else None  # a bad classifier is reported once
-        problems.extend(sweep_problems(fields["scenario"], strengths, family))
-    parse("metric", metric_from_config, ev)
-    parse("seed", _integer, ev.get("seed", 0), "evaluation.seed")
-    parse("repetitions", _integer, ev.get("repetitions", 1), "evaluation.repetitions", 1)
-    parse("jobs", _integer, ev.get("jobs", 1), "evaluation.jobs", 1)
-    try:
-        fields["collect_roc"] = tuple(float(s) for s in ev.get("collect_roc") or [])
-    except (TypeError, ValueError):
-        problems.append("evaluation.collect_roc must be a numeric list")
-    else:
-        missing = [s for s in fields["collect_roc"] if strengths is not None and s not in strengths]
+    # the rules that tie keys together, on the sections that parsed
+    data, ev = values.get("data"), values.get("evaluation")
+    if data is not None and data["source"] == "emails" and data["resampling"]["method"] != "chronological":
+        problems.append("email ingestion needs chronological resampling (vocabulary is fitted on the training part)")
+    scenario = _scenario(values["attack"]) if "attack" in values else None
+    if scenario is not None:
+        family = values["classifier"]["family"] if "classifier" in values else None  # a bad classifier is reported once
+        problems.extend(sweep_problems(scenario, scenario.strength.values, family))
+    if scenario is not None and ev is not None:
+        missing = [s for s in ev["collect_roc"] if s not in scenario.strength.values]
         if missing:
             problems.append(f"evaluation.collect_roc values {missing} are not among attack.strength.values")
-    parse("out_dir", _path, cfg["output"].get("directory", "out"), "output.directory")
     if problems:
         raise ConfigError(*problems)
-    return RunConfig(**fields)
+
+    source, resampling = data["source"], data["resampling"]
+    method = _RESAMPLING[resampling["method"]]
+    return RunConfig(
+        doc=cfg,
+        source=source,
+        path=base_dir / data["path"] if source in _FILE_SOURCES else None,
+        synth=data["synth"] if source in synth.SOURCES else {},
+        vocab_size=data["vocab_size"],
+        resampling=method(resampling["split_index"] if method is Chronological else resampling["k"]),
+        classifier=_classifier(values["classifier"]),
+        scenario=scenario,
+        out_dir=values["output"]["directory"],
+        **ev,  # metric, seed, repetitions, jobs, collect_roc
+    )
 
 
-# ---------------------------------------------------------------------------
-# section parsers
-# ---------------------------------------------------------------------------
-
-
-def _key_problems(cfg: Mapping) -> list[str]:
-    """Removed and unknown keys, per mapping of :data:`_KNOWN_KEYS`."""
-    problems = []
-    for path, known in _KNOWN_KEYS.items():
-        section = cfg
-        for part in path:
-            section = section.get(part) if isinstance(section, Mapping) else None
-        if not isinstance(section, Mapping):
-            continue
-        where = ".".join(path) or "top-level"
-        removed = [k for k in section if (*path, k) in _REMOVED_KEYS]
-        problems.extend(f"{where}.{k} is no longer supported; remove it" for k in removed)
-        unknown = [k for k in section if k not in known and k not in removed]
-        if unknown:
-            problems.append(f"unknown {where} keys {unknown}; known: {', '.join(known)}")
-    return problems
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _integer(value: Any, name: str, lo: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(f"{name} must be >= {lo}, got {value!r}")
-    return value
-
-
-def _path(value: Any, name: str, base_dir: Path = Path()) -> Path:
-    if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a path string, got {value!r}")
-    return base_dir / value
-
-
-def _synth_kwargs(source: str, section: Any) -> dict[str, int]:
-    """Keyword arguments for a synthetic source's generator (seed 0 unless given)."""
-    if not isinstance(section, Mapping):
-        raise ConfigError(f"data.synth must be a mapping, got {section!r}")
-    known = inspect.signature(synth.SOURCES[source]).parameters
-    kwargs = {"seed": 0}
-    for key, value in section.items():
-        if key not in known:
-            raise ConfigError(f"data.synth.{key} is not a {source} parameter; known: {', '.join(known)}")
-        kwargs[key] = _integer(value, f"data.synth.{key}", None if key == "seed" else 0)
-    return kwargs
-
-
-def resampling_from_config(data_section: Mapping) -> ResampleMethod:
-    rs = data_section.get("resampling")
-    if not isinstance(rs, Mapping) or "method" not in rs:
-        raise ConfigError("data.resampling.method is required")
-    method = rs["method"]
-    if data_section.get("source") == "emails" and method != "chronological":
-        raise ConfigError("email ingestion needs chronological resampling (vocabulary is fitted on the training part)")
-    if method == "chronological":
-        return Chronological(_integer(rs.get("split_index"), "data.resampling.split_index", 1))
-    if method == "cross_validation":
-        return CrossValidation(_integer(rs.get("k", 5), "data.resampling.k", 2))
-    if method == "bootstrap":
-        return Bootstrap(_integer(rs.get("k", 5), "data.resampling.k", 1))
-    raise ConfigError(f"unknown resampling method {method!r}")
+def scenario_from_config(attack_section: Mapping) -> AttackScenario:
+    """The scenario an attack section describes; raises :class:`ConfigError` naming every problem."""
+    return _scenario(_read_section(attack_section, _ATTACK, "attack"))
 
 
 def classifier_from_config(cls_section: Mapping) -> ClassifierConfig:
-    family = cls_section.get("family")
-    if family not in CLASSIFIER_PARAMS:
-        raise ConfigError(f"classifier.family must be one of {', '.join(CLASSIFIER_PARAMS)}, got {family!r}")
-    defaults = CLASSIFIER_PARAMS[family]
-    params = {k: v for k, v in cls_section.items() if k != "family"}
-    problems = [f"{family} needs a {k} parameter" for k, v in defaults.items() if v is None and k not in params]
-    for key, value in params.items():
-        if key not in defaults:
-            problems.append(f"classifier.{key} is not a {family} parameter; known: {', '.join(defaults)}")
-        elif key == "c_grid":
-            if not (isinstance(value, list) and value and all(_is_number(c) for c in value)):
-                problems.append(f"classifier.c_grid must be a non-empty list of numbers, got {value!r}")
-        elif isinstance(defaults[key], int) and (isinstance(value, bool) or not isinstance(value, int)):
-            problems.append(f"classifier.{key} must be an integer, got {value!r}")
-        elif not _is_number(value):
-            problems.append(f"classifier.{key} must be a number, got {value!r}")
-    if problems:
-        raise ConfigError(*problems)
-    return ClassifierConfig(family=family, params=params)
+    return _classifier(_read_section(cls_section, _classifier_schema(cls_section), "classifier"))
 
 
-def metric_from_config(eval_section: Mapping) -> Metric:
-    metric = eval_section.get("metric", "auc10")
-    if metric == "auc10":
-        return Auc10()
-    if isinstance(metric, Mapping) and "far_at_gar" in metric:
-        gar = metric["far_at_gar"]
-        if not (_is_number(gar) and 0.0 < gar <= 1.0):
-            raise ConfigError(f"evaluation.metric.far_at_gar must be a number in (0, 1], got {gar!r}")
-        return FarAtGar(gar=float(gar))
-    raise ConfigError(f"unknown metric {metric!r}")
+def _scenario(attack: Mapping) -> AttackScenario:
+    capability, strength = dict(attack["capability"]), attack["strength"]
+    values = strength["values"]  # lo and hi default to the least and the greatest
+    return AttackScenario(**{
+        **attack,
+        "knowledge": Knowledge(**attack["knowledge"]),
+        "capability": Capability(controllable=capability.pop("controllable_fraction"), **capability),
+        "strategy": Strategy(**attack["strategy"]),
+        "strength": StrengthParam(**{"lo": min(values, default=0.0), "hi": max(values, default=1.0), **strength}),
+    })
 
 
-_REQUIRED = object()  # default of a key that must be present
+def _classifier(section: Mapping) -> ClassifierConfig:
+    """The family and the parameters as given (a trainer fills in the defaults of the rest)."""
+    return ClassifierConfig(family=section["family"], params={k: v for k, v in section.items() if k != "family"})
+
+
+# --- the schema: each key's parser and default, and the one reader -------------
+
+
+_REQUIRED = object()  # default of a key that must be given
+_OMIT = object()  # default of a key that is left out of the parsed section when it is not given
+
+
+class _Field(NamedTuple):  # a key: its value parser and its default, read as if given unless a sentinel
+    parse: Callable[[Any, str], Any]
+    default: Any = _REQUIRED
+
+
+# value parsers: (value, where) -> parsed value, or ConfigError naming ``where``
 
 
 def _typed(accepts: Callable[[Any], bool], what: str, convert: Callable[[Any], Any] = lambda v: v):
@@ -305,20 +213,42 @@ def _typed(accepts: Callable[[Any], bool], what: str, convert: Callable[[Any], A
     return parse
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(lo: int | None = None):
+    """A parser of an integer (not a boolean), at least ``lo`` when given."""
+    integer = _typed(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+    at_least = _typed(lambda v: lo is None or v >= lo, f">= {lo}")
+    return lambda value, where: at_least(integer(value, where), where)
+
+
+def _choice(options, convert: Callable[[Any], Any] = lambda v: v):
+    """A parser of one of ``options``; compared by equality, so an unhashable value is rejected, not raised on."""
+    options = list(options)
+    return _typed(lambda v: v in options, f"one of {', '.join(options)}", convert)
+
+
 def _optional(parse: Callable[[Any, str], Any]):
     return lambda value, where: None if value is None else parse(value, where)
 
 
-def _member(kind: type[enum.Enum]):
-    values = [m.value for m in kind]
-    return _typed(lambda v: v in values, f"one of {', '.join(values)}", kind)
+def _removed(value: Any, where: str) -> None:
+    raise ConfigError(f"{where} is no longer supported; remove it")
 
+
+_UNREAD = _Field(lambda value, where: value, _OMIT)  # accepted but not read
+_REMOVED = _Field(_removed, _OMIT)  # a removed key: silently ignoring it would change the curve
 
 _flag = _typed(lambda v: isinstance(v, bool), "true or false")
 _string = _typed(lambda v: isinstance(v, str), "a string")
+_path = _typed(lambda v: isinstance(v, str), "a path string", Path)
 _number = _typed(_is_number, "a number", float)
+_raw_number = _typed(_is_number, "a number")  # the number as given: 1 stays 1
+_grid = _typed(lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_number, v)), "a non-empty list of numbers")
 _numbers = _typed(
-    lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers", lambda v: list(map(float, v))
+    lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers", lambda v: tuple(map(float, v))
 )
 _fraction = _typed(
     lambda v: v == "strength" or _is_number(v),
@@ -330,6 +260,17 @@ _specificity = _typed(
     "targeted, indiscriminate or a number",
     lambda v: {"indiscriminate": 0.0, "targeted": 1.0}[v] if isinstance(v, str) else float(v),
 )
+
+
+def _metric(value: Any, where: str) -> Metric:
+    if value == "auc10":
+        return Auc10()
+    if isinstance(value, Mapping) and "far_at_gar" in value:
+        gar = value["far_at_gar"]
+        if not (_is_number(gar) and 0.0 < gar <= 1.0):
+            raise ConfigError(f"{where}.far_at_gar must be a number in (0, 1], got {gar!r}")
+        return FarAtGar(gar=float(gar))
+    raise ConfigError(f"unknown metric {value!r}")
 
 
 def _fraction_map(value: Any, where: str, parser: Callable = _fraction) -> dict[tuple[str, Label], Any]:
@@ -355,58 +296,130 @@ def _fraction_map(value: Any, where: str, parser: Callable = _fraction) -> dict[
     return out
 
 
-def scenario_from_config(attack_section: Mapping) -> AttackScenario:
-    """The scenario an attack section describes.
+_ATTACK = {
+    "name": _Field(_string),
+    "influence": _Field(_choice([m.value for m in Influence], Influence)),
+    "violation": _Field(_choice([m.value for m in Violation], Violation)),
+    "specificity": _Field(_specificity, 0.0),
+    "knowledge": {f.name: _Field(_flag, False) for f in fields(Knowledge)},
+    "capability": {
+        "affects_training": _Field(_flag),
+        "affects_testing": _Field(_flag),
+        "prior_change_allowed": _Field(_flag, False),
+        "controllable_fraction": _Field(partial(_fraction_map, parser=_number), {}),
+        "feature_constraints": _Field(_optional(_string), None),
+    },
+    "strategy": {
+        "generator": _Field(_string),
+        "attacked_fraction": _Field(_fraction_map, {}),
+        "prior_override": _Field(_optional(_fraction), None),
+    },
+    "strength": {
+        "name": _Field(_string),
+        "values": _Field(_numbers, []),
+        "lo": _Field(_number, _OMIT),  # the least value when left out
+        "hi": _Field(_number, _OMIT),  # the greatest value when left out
+    },
+}
 
-    Raises :class:`ConfigError` naming every missing key and every value of the wrong type.
+
+def _read(doc: Mapping, schema: Mapping, where: str, problems: list[str]) -> dict:
+    """The value of each key ``schema`` declares, parsed from ``doc``; appends each problem found to ``problems``.
+
+    A nested mapping in ``schema`` is a section (absent: empty).  A key or section with a problem is left out.
     """
+    unknown = [key for key in doc if key not in schema]
+    if unknown:
+        known = ", ".join(key for key, spec in schema.items() if spec is not _REMOVED)
+        problems.append(f"unknown {where or 'top-level'} keys {unknown}; known: {known}")
+    values = {}
+    for key, spec in schema.items():
+        name = f"{where}.{key}" if where else key
+        found = len(problems)
+        if isinstance(spec, Mapping):
+            value = doc.get(key, {})
+            if isinstance(value, Mapping):
+                value = _read(value, spec, name, problems)
+            else:
+                problems.append(f"{name} must be a mapping, got {value!r}")
+        elif key not in doc and spec.default is _OMIT:
+            continue
+        elif key not in doc and spec.default is _REQUIRED:
+            problems.append(f"{name} is required")
+        else:
+            try:
+                value = spec.parse(doc.get(key, spec.default), name)
+            except ConfigError as exc:
+                problems.extend(exc.problems)
+        if len(problems) == found:
+            values[key] = value
+    return values
+
+
+def _read_section(doc: Mapping, schema: Mapping, where: str) -> dict:
     problems: list[str] = []
-
-    def get(where: str, parser: Callable[[Any, str], Any], default: Any = _REQUIRED) -> Any:
-        name, _, key = where.rpartition(".")
-        section = attack_section.get(name, {}) if name else attack_section
-        if not isinstance(section, Mapping):
-            return None  # reported once, by the section check below
-        if key not in section:
-            if default is _REQUIRED:
-                problems.append(f"attack.{where} is required")
-                return None
-            return default
-        try:
-            return parser(section[key], f"attack.{where}")
-        except ConfigError as exc:
-            problems.extend(exc.problems)
-            return None
-
-    for name in ("knowledge", "capability", "strategy", "strength"):
-        if not isinstance(attack_section.get(name, {}), Mapping):
-            problems.append(f"attack.{name} must be a mapping, got {attack_section[name]!r}")
-    values = get("strength.values", _numbers, []) or []
-    scenario = AttackScenario(
-        name=get("name", _string),
-        influence=get("influence", _member(Influence)),
-        violation=get("violation", _member(Violation)),
-        specificity=get("specificity", _specificity, 0.0),
-        knowledge=Knowledge(**{k: get(f"knowledge.{k}", _flag, False) for k in _KNOWN_KEYS[("attack", "knowledge")]}),
-        capability=Capability(
-            affects_training=get("capability.affects_training", _flag),
-            affects_testing=get("capability.affects_testing", _flag),
-            prior_change_allowed=get("capability.prior_change_allowed", _flag, False),
-            controllable=get("capability.controllable_fraction", partial(_fraction_map, parser=_number), {}),
-            feature_constraints=get("capability.feature_constraints", _optional(_string), None),
-        ),
-        strategy=Strategy(
-            generator=get("strategy.generator", _string),
-            attacked_fraction=get("strategy.attacked_fraction", _fraction_map, {}),
-            prior_override=get("strategy.prior_override", _optional(_fraction), None),
-        ),
-        strength=StrengthParam(
-            name=get("strength.name", _string),
-            lo=get("strength.lo", _number, min(values, default=0.0)),
-            hi=get("strength.hi", _number, max(values, default=1.0)),
-            values=tuple(values),
-        ),
-    )
+    values = _read(doc, schema, where, problems)
     if problems:
         raise ConfigError(*problems)
-    return scenario
+    return values
+
+
+def _get(doc: Any, key: str) -> Any:
+    return doc.get(key) if isinstance(doc, Mapping) else None
+
+
+def _schema(cfg: Mapping) -> dict:
+    """Every key ``cfg`` may hold; a nested mapping is a section, and each section is required."""
+    return {
+        "version": _UNREAD,  # checked before the sections are read
+        "data": _data_schema(_get(cfg, "data")),
+        "classifier": _classifier_schema(_get(cfg, "classifier")),
+        "attack": _ATTACK,
+        "evaluation": {
+            "metric": _Field(_metric, "auc10"),
+            "seed": _Field(_integer(), 0),
+            "repetitions": _Field(_integer(1), 1),
+            "jobs": _Field(_integer(1), 1),
+            "collect_roc": _Field(_numbers, []),
+            "scale_train_with_prior": _REMOVED,
+        },
+        "output": {"directory": _Field(_path, "out"), "formats": _UNREAD},
+    }
+
+
+def _data_schema(section: Any) -> dict:
+    """The data keys: the source picks whether ``path`` or ``synth`` is read, the method ``k`` or ``split_index``."""
+    source = _get(section, "source")
+    method = _get(_get(section, "resampling"), "method")
+    folds = _Field(_integer(2 if method == "cross_validation" else 1), 5)
+    generator = next((g for name, g in synth.SOURCES.items() if name == source), None)
+    return {
+        # a missing source, path or split_index reads as null, which its parser rejects
+        "source": _Field(_choice((*_FILE_SOURCES, *synth.SOURCES)), None),
+        "path": _Field(_path, None) if source in _FILE_SOURCES else _UNREAD,
+        "synth": _UNREAD if generator is None else {
+            key: _Field(_integer(), 0) if key == "seed" else _Field(_integer(0), _OMIT)
+            for key in inspect.signature(generator).parameters
+        },
+        "vocab_size": _Field(_integer(1), 1000),
+        "resampling": {
+            "method": _Field(_choice(_RESAMPLING)),
+            "k": _UNREAD if method == "chronological" else folds,
+            "split_index": _Field(_integer(1), None) if method == "chronological" else _UNREAD,
+        },
+        "train_size": _REMOVED,
+        "test_size": _REMOVED,
+    }
+
+
+def _classifier_schema(section: Any) -> dict:
+    """``family`` and its keys, which keep the value given; the keys of an unknown family are not read."""
+    family = _get(section, "family")
+    params = next((p for name, p in CLASSIFIER_PARAMS.items() if name == family), None)
+    schema = {"family": _Field(_choice(CLASSIFIER_PARAMS), None)}
+    if params is None:
+        return {**dict.fromkeys(section if isinstance(section, Mapping) else (), _UNREAD), **schema}
+    for key, default in params.items():  # the default's type picks the parser; a default of None: required
+        parse = _grid if isinstance(default, tuple) else _integer() if isinstance(default, int) else _raw_number
+        schema[key] = _Field(parse, _REQUIRED if default is None else _OMIT)
+    return schema

@@ -68,7 +68,6 @@ class AttackFlag(enum.Enum):
     ATTACKED = "T"
 
 
-_LABELS = (Label.LEGITIMATE, Label.MALICIOUS)
 _LABEL_NAMES = {
     **dict.fromkeys(("l", "legitimate", "ham", "genuine"), Label.LEGITIMATE),
     **dict.fromkeys(("m", "malicious", "spam", "impostor"), Label.MALICIOUS),
@@ -90,13 +89,8 @@ def encode_labels(labels: Sequence[Label | str] | np.ndarray) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
-# fixed cell order used by the sampler's feature stream
-_CELL_ORDER = (
-    (Label.LEGITIMATE, AttackFlag.CLEAN),
-    (Label.LEGITIMATE, AttackFlag.ATTACKED),
-    (Label.MALICIOUS, AttackFlag.CLEAN),
-    (Label.MALICIOUS, AttackFlag.ATTACKED),
-)
+# the (label, flag) cells, in the fixed order the sampler's feature stream draws them
+_CELL_ORDER = tuple((lab, flag) for lab in Label for flag in AttackFlag)
 
 
 class Dataset:
@@ -279,7 +273,7 @@ def validate_spec(spec: DistributionSpec) -> list[str]:
     violations: list[str] = []
     if not 0.0 <= spec.prior_malicious <= 1.0:
         violations.append(f"prior out of range: p(Y=M)={spec.prior_malicious}")
-    for lab in _LABELS:
+    for lab in Label:
         p = spec.attack_prob.get(lab, 0.0)
         if not 0.0 <= p <= 1.0:
             violations.append(f"attack probability out of range for {lab.value}: {p}")
@@ -288,17 +282,16 @@ def validate_spec(spec: DistributionSpec) -> list[str]:
     if len(dims) > 1:
         violations.append(f"components disagree on dimension: {sorted(dims)}")
 
-    for lab in _LABELS:
-        for flag in (AttackFlag.CLEAN, AttackFlag.ATTACKED):
-            p_cell = spec.cell_probability(lab, flag)
-            pool = spec.components.get((lab, flag))
-            if p_cell > 0.0 and pool is None:
-                violations.append(f"missing component for ({lab.value}, {flag.value}) with mass {p_cell:g}")
-            elif p_cell > 0.0 and len(pool) == 0:
-                violations.append(f"empty pool for ({lab.value}, {flag.value}) with mass {p_cell:g}")
-            # the cell sets the flag of what it draws, but the pool must hold the cell's label
-            if pool is not None and np.any(pool.label_codes != _LABEL_CODE[lab]):
-                violations.append(f"pool for ({lab.value}, {flag.value}) holds rows of the other label")
+    for lab, flag in _CELL_ORDER:
+        p_cell = spec.cell_probability(lab, flag)
+        pool = spec.components.get((lab, flag))
+        if p_cell > 0.0 and pool is None:
+            violations.append(f"missing component for ({lab.value}, {flag.value}) with mass {p_cell:g}")
+        elif p_cell > 0.0 and len(pool) == 0:
+            violations.append(f"empty pool for ({lab.value}, {flag.value}) with mass {p_cell:g}")
+        # the cell sets the flag of what it draws, but the pool must hold the cell's label
+        if pool is not None and np.any(pool.label_codes != _LABEL_CODE[lab]):
+            violations.append(f"pool for ({lab.value}, {flag.value}) holds rows of the other label")
     return violations
 
 
@@ -376,6 +369,11 @@ def resample(data: Dataset, method: ResampleMethod, seed: int) -> FoldSet:
 # ---------------------------------------------------------------------------
 
 
+# sample_dataset copies a cell's rows in blocks of at most this many values (or
+# one row): gathering a whole cell at once makes a temporary as large as the cell
+_GATHER_VALUES = 1 << 18
+
+
 def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> Dataset:
     """Draw ``n`` samples from a distribution spec, i.i.d.
 
@@ -406,10 +404,13 @@ def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> Dataset:
     flag_codes = (u_a < p_att).astype(np.uint8)
 
     features = np.zeros((n, spec.dimension()))
+    step = max(1, _GATHER_VALUES // max(1, features.shape[1]))  # rows per block
     # validate_spec leaves no cell that can be drawn without a non-empty pool
     for lab, flag in _CELL_ORDER:
         idx = np.flatnonzero((label_codes == _LABEL_CODE[lab]) & (flag_codes == _FLAG_CODE[flag]))
         if idx.size:
             pool = spec.components[(lab, flag)]
-            features[idx] = pool.features[feature_rng.integers(0, len(pool), size=idx.size)]
+            rows = feature_rng.integers(0, len(pool), size=idx.size)
+            for at in range(0, idx.size, step):
+                features[idx[at:at + step]] = pool.features[rows[at:at + step]]
     return Dataset(features, label_codes, flag_codes)

@@ -358,6 +358,7 @@ def _evaluate_item(
             del tr  # not held while the testing set is built and scored: it would raise peak memory
             ts = attacked_set("test", s, d_ts, model, ts_seed)
             out.append((decision_scores(model, ts.features), ts.label_codes))
+            del ts  # likewise not held while the next strength's testing set is built
         except Exception as exc:
             raise SweepError(f"fold {fi}, rep {rep}, strength {s:g}: {exc}") from exc
     return out

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -287,6 +289,21 @@ class TestScenarioConsistency:
         )
         issues = check_scenario_consistency(bad)
         assert any("capability controls" in v for v in issues)
+
+    def test_training_prior_override_needs_training_capability(self):
+        scen = canned_scenario("bio_spoof_face")
+        causative = dataclasses.replace(
+            scen,
+            influence=Influence.CAUSATIVE,
+            capability=dataclasses.replace(scen.capability, prior_change_allowed=True),
+            strategy=dataclasses.replace(scen.strategy, prior_override=0.5),
+        )
+        assert not causative.capability.affects_training
+        assert check_scenario_consistency(causative) == [
+            "strategy overrides the training prior without the capability to modify training data"
+        ]
+        granted = dataclasses.replace(causative, capability=dataclasses.replace(causative.capability, affects_training=True))
+        assert check_scenario_consistency(granted) == []
 
     def test_model_knowledge_requirement(self):
         scen = canned_scenario("spam_gwi_bwo", [0, 10])

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from clfsec.data_model import (
     resample,
     Chronological,
 )
+from clfsec.evaluation import Auc10, FarAtGar
 from clfsec.synth import synthetic_ids_traffic, synthetic_score_table, synthetic_spam_corpus
 
 L, M = Label.LEGITIMATE, Label.MALICIOUS
@@ -95,6 +98,22 @@ class TestPrepare:
             capsys.readouterr()
             assert main([command, "--config", str(path)]) == 2
             assert capsys.readouterr().err == f"error: data.path is not a file: {tmp_path / 'nowhere/missing-input'}\n"
+
+    def test_ingestion_error_reported_alike(self, capsys, tmp_path):
+        data = tmp_path / "x.csv"
+        data.write_text("f0,f1,label\n0,1,L\n1,0,M\nnan,1,M\n1,1,L\n", encoding="utf-8")
+        cfg = canned_config("ids_poison")
+        cfg["data"] = {"source": "dense", "path": str(data), "resampling": {"method": "chronological", "split_index": 2}}
+        cfg["output"]["directory"] = str(tmp_path / "out")
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        errors = []
+        for command in ("prepare", "evaluate"):
+            capsys.readouterr()
+            assert main([command, "--config", str(path)]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: ValueError: ") and f"{data}:4" in errors[0], errors[0]
 
     def test_synthetic_prepare(self, tmp_path):
         assert main(["prepare", "--scenario", "ids_poison", "--out", str(tmp_path / "o")]) == 0
@@ -318,7 +337,10 @@ class TestValidateCommand:
         "name, edit, message",
         [
             ("ids_poison", lambda c: c["attack"]["strength"].update(hi=0.4), "outside the scenario's p_max range"),
-            ("ids_poison", lambda c: c["evaluation"].update(collect_roc=["x"]), "collect_roc must be a numeric list"),
+            ("ids_poison", lambda c: c["evaluation"].update(collect_roc=["x"]), "evaluation.collect_roc must be a list of numbers, got ['x']"),
+            ("bio_spoof_face", lambda c: c["evaluation"].update(collect_roc="01"), "evaluation.collect_roc must be a list of numbers, got '01'"),
+            ("bio_spoof_face", lambda c: c["evaluation"].update(collect_roc=[True]), "evaluation.collect_roc must be a list of numbers, got [True]"),
+            ("bio_spoof_face", lambda c: c["evaluation"].update(collect_roc=[0, "1"]), "evaluation.collect_roc must be a list of numbers, got [0, '1']"),
             ("ids_poison", lambda c: c["evaluation"].update(collect_roc=[0, 0.9]), "[0.9] are not among"),
             ("bio_spoof_face", lambda c: c["evaluation"].update(collect_roc=[0, 3]), "[3.0] are not among"),
             ("ids_poison", lambda c: c["evaluation"].update(repetitions=0), "evaluation.repetitions must be >= 1"),
@@ -337,7 +359,9 @@ class TestValidateCommand:
                 lambda c: c["data"].update(source="emails", path="index", resampling={"method": "cross_validation"}),
                 "email ingestion needs chronological resampling",
             ),
-            ("spam_gwi_bwo", lambda c: c["classifier"].update(C=10), "classifier.C is not a linear_svm parameter"),
+            ("spam_gwi_bwo", lambda c: c["classifier"].update(C=10), "unknown classifier keys ['C']; known: family, c, tolerance, c_grid"),
+            ("ids_poison", lambda c: c["data"].update(source=["dense"]), "data.source must be one of dense, emails, scores, payloads, synthetic-spam, synthetic-scores, synthetic-ids, got ['dense']"),
+            ("spam_gwi_bwo", lambda c: c["classifier"].update(family=["linear_svm"]), "classifier.family must be one of linear_svm, logistic_regression, one_class_svm, gamma_fusion, got ['linear_svm']"),
             ("ids_poison", lambda c: c["evaluation"].update(repetition=3), "unknown evaluation keys ['repetition']"),
             ("spam_gwi_bwo", lambda c: c["classifier"].update(c_grid=1.0), "c_grid must be a non-empty list of numbers"),
             ("spam_gwi_bwo", lambda c: c["classifier"].update(tolerance="1e-6"), "classifier.tolerance must be a number"),
@@ -464,13 +488,23 @@ class TestValidateCommand:
                     "strategy attacks M train samples but generator spoof_face replaces only M test samples",
                 ),
             ),
+            (
+                "bio_spoof_face",
+                lambda c: (
+                    c["attack"].update(influence="causative"),
+                    c["attack"]["capability"].update(prior_change_allowed=True),
+                    c["attack"]["strategy"].update(prior_override=0.5),
+                ),
+                "inconsistent scenario: strategy overrides the training prior without the capability to modify training data",
+            ),
         ],
         ids=[
             "strength-above-hi", "collect-roc-not-numeric", "collect-roc-outside-range", "collect-roc-not-a-strength",
+            "collect-roc-string", "collect-roc-boolean", "collect-roc-numeric-string",
             "repetitions-zero", "repetitions-not-integer", "jobs-not-integer", "seed-not-integer",
             "folds-zero", "folds-not-integer", "synth-count-not-integer", "gar-above-one",
             "classifier-value-not-numeric", "output-null", "file-source-without-path", "emails-cross-validation",
-            "classifier-key-typo", "evaluation-key-typo", "c-grid-not-a-list", "classifier-value-string",
+            "classifier-key-typo", "source-list", "family-list", "evaluation-key-typo", "c-grid-not-a-list", "classifier-value-string",
             "epochs-not-integer", "attacked-fraction-above-one", "attacked-fraction-negative",
             "strength-fraction-above-one", "strength-prior-above-one",
             "gwi-bwo-legitimate-test-cell", "poison-test-cell", "spoof-train-cell", "gwi-bwo-one-class-svm",
@@ -478,7 +512,7 @@ class TestValidateCommand:
             "knowledge-string-flag", "capability-string-flag", "capability-integer-flag", "fraction-boolean",
             "controllable-fraction-string", "prior-override-boolean", "fraction-unknown-label",
             "attack-name-missing", "capability-key-missing", "strategy-missing", "influence-unknown",
-            "strength-values-not-numeric", "strength-train-fraction-zero-range",
+            "strength-values-not-numeric", "strength-train-fraction-zero-range", "train-prior-override-without-capability",
         ],
     )
     def test_validate_and_evaluate_reject_alike(self, name, edit, message, tmp_path, capsys):
@@ -626,6 +660,23 @@ class TestCannedConfigs:
             assert run.seed == cfg["evaluation"]["seed"]
 
 
+    def test_benchmark_configs_parse(self):
+        """The benchmark's own configs, which carry ``output.formats`` and an explicit ``prior_override: null``."""
+        spec = importlib.util.spec_from_file_location("bench_gen", Path(__file__).resolve().parent.parent / "bench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        expected = [
+            (gen.spam_config(), "emails", "linear_svm", "gwi_bwo", gen.SPAM_N_MAX, Auc10(), 1),
+            (gen.ids_config(1.0), "payloads", "one_class_svm", "poison_injection", gen.IDS_P_MAX, Auc10(), 1),
+            (gen.bio_config(), "scores", "gamma_fusion", "spoof_face", gen.BIO_SPOOF, FarAtGar(0.9), gen.BIO_JOBS),
+        ]
+        for cfg, source, family, generator, strengths, metric, jobs in expected:
+            assert cfg["output"]["formats"] and "prior_override" in cfg["attack"]["strategy"]
+            run = parse_config(cfg)
+            assert (run.source, run.classifier.family, run.scenario.strategy.generator) == (source, family, generator)
+            assert run.scenario.strength.values == tuple(map(float, strengths))
+            assert (run.metric, run.jobs) == (metric, jobs)
+
     def test_fraction_maps_take_every_label_name(self):
         attack = canned_config("bio_spoof_face")["attack"]
         attack["capability"]["controllable_fraction"] = {"test": {"M": 1.0, "L": 0.0}}
@@ -657,9 +708,10 @@ class TestTableOneInstantiation:
         assert ts_spec.prior_malicious == d_ts.empirical_prior_malicious()
         assert ts_spec.attack_prob[L] == 0.0
         assert ts_spec.attack_prob[M] == 1.0
-        # p_ts(X|y, F) = p_D(X|y) (empirical slices); attack component empirical
+        # p_ts(X|L, F) = p_D(X|L) (empirical slice); attack component empirical;
+        # the (M, F) cell has no mass, so no pool
         assert ts_spec.components[(L, F)] == d_ts.restrict(label=L)
-        assert ts_spec.components[(M, F)] == d_ts.restrict(label=M)
+        assert (M, F) not in ts_spec.components
         assert isinstance(ts_spec.components[(M, T)], Dataset)
         assert len(ts_spec.components[(M, T)]) == len(d_ts.restrict(label=M))
 

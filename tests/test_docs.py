@@ -1,29 +1,59 @@
 """The README documents what the code accepts."""
 
 import re
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
 
 from clfsec import synth
-from clfsec.config import ConfigError, _FILE_SOURCES, canned_config, parse_config
+from clfsec.classifiers import CLASSIFIER_PARAMS
+from clfsec.config import _FILE_SOURCES, _REMOVED, _RESAMPLING, _schema, ConfigError, canned_config, parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _readme_data_sources() -> set[str]:
-    """The names in README's ``data.source`` bullet (dotted names such as ``data.path`` are not sources)."""
+    """The names in the ``data.source`` row of README's key table (dotted names such as ``data.path`` are not sources)."""
     text = README.read_text(encoding="utf-8")
-    bullet = re.search(r"^- `data\.source` is one of (.*?)^- ", text, re.S | re.M).group(1)
-    return set(re.findall(r"`([a-z][a-z-]*)`", bullet))
+    row = re.search(r"^\| `data\.source` \|(.*)$", text, re.M).group(1)
+    return set(re.findall(r"`([a-z][a-z-]*)`", row))
+
+
+def _accepted_keys() -> set[str]:
+    """The dotted name of every key ``parse_config`` accepts outside a section (sections are named by their keys).
+
+    Taken over every source, resampling method and classifier family, since these choose the keys read.
+    """
+    names = set()
+
+    def walk(schema: Mapping, where: str) -> None:
+        for key, spec in schema.items():
+            name = f"{where}.{key}" if where else key
+            if isinstance(spec, Mapping):
+                walk(spec, name)
+            elif spec is not _REMOVED:
+                names.add(name)
+
+    for source in (*_FILE_SOURCES, *synth.SOURCES):
+        for method in _RESAMPLING:
+            for family in CLASSIFIER_PARAMS:
+                walk(_schema({"data": {"source": source, "resampling": {"method": method}}, "classifier": {"family": family}}), "")
+    return names
 
 
 def test_readme_lists_every_data_source_parse_config_accepts():
     assert _readme_data_sources() == set(_FILE_SOURCES) | set(synth.SOURCES)
 
 
+def test_readme_names_every_key_parse_config_accepts():
+    text = README.read_text(encoding="utf-8")
+    assert {"version", "data.resampling.k", "classifier.epochs", "data.synth.n_train", "output.formats"} <= _accepted_keys()
+    assert sorted(name for name in _accepted_keys() if f"`{name}`" not in text) == []
+
+
 def test_removed_sparse_source_rejected():
     cfg = canned_config("ids_poison")
     cfg["data"] = {"source": "sparse", "path": "x", "resampling": cfg["data"]["resampling"]}
-    with pytest.raises(ConfigError, match="unknown data.source 'sparse'"):
+    with pytest.raises(ConfigError, match="data.source must be one of .*, got 'sparse'"):
         parse_config(cfg)

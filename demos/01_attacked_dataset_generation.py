@@ -6,7 +6,8 @@ in the paper's applications, each p(X|Y,A) is an empirical pool: a dataset
 whose rows are drawn with replacement.  This script builds a spec by hand
 from a legitimate pool, a malicious pool and an attacked pool, samples from
 it, checks the mixture frequencies, and shows that a stronger attack moves
-only the attacked rows of a sampled set.
+only the attacked rows of a sampled set.  A sample is a draw: which pool
+row each sample is, with no feature copied until the set is gathered.
 """
 
 import numpy as np
@@ -51,8 +52,9 @@ def spec_at(strength):
 spec = spec_at(0.5)
 print("spec violations:", validate_spec(spec) or "none")
 
-data = sample_dataset(spec, 20_000, seed=7)
-print(f"\nsampled {len(data)} points, dimension {data.dimension}")
+draw = sample_dataset(spec, 20_000, seed=7)
+data = draw.gather()  # the features of each drawn pool row
+print(f"\nsampled {len(draw)} points, dimension {data.dimension}")
 for lab in (L, M):
     for flag in (F, T):
         frac = np.mean((data.label_codes == (lab is M)) & (data.flag_codes == (flag is T)))
@@ -60,12 +62,15 @@ for lab in (L, M):
 print("expected: (L,F)=0.6000, (M,F)=0.2800, (M,T)=0.1200")
 
 # determinism: the same seed reproduces the dataset bit for bit
-assert sample_dataset(spec, 20_000, seed=7) == data
+assert sample_dataset(spec, 20_000, seed=7).gather() == data
 print("\nresampling with the same seed is bit-identical")
 
 # -- a stronger attack, same seed: only the attacked rows move ------------
 
-stronger = sample_dataset(spec_at(0.9), 20_000, seed=7)
+stronger_draw = sample_dataset(spec_at(0.9), 20_000, seed=7)
+# the same pool rows are drawn; only the attacked pool's contents differ
+assert np.array_equal(stronger_draw.cells[(M, T)][2], draw.cells[(M, T)][2])
+stronger = stronger_draw.gather()
 attacked = data.flag_codes == 1
 assert np.array_equal(stronger.label_codes, data.label_codes)
 assert np.array_equal(stronger.flag_codes, data.flag_codes)

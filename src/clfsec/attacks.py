@@ -262,13 +262,16 @@ class AttackGenerator:
     ``pool(d_ts, model, strength, rng)`` returns one attacked sample per
     malicious sample of the testing fold ``d_ts``.  ``reads_model`` names
     the classifier families whose parameters it reads (k.iv); it is empty
-    when the generator reads none.
+    when the generator reads none.  A ``strength_invariant`` generator
+    builds the same pool at every strength and reads no model, so a sweep
+    builds such a testing pool once per (fold, repetition).
     """
 
     phase: str
     pool: Callable[[Dataset, Any, float, np.random.Generator], Dataset]
     reads_model: tuple[str, ...] = ()
     noop_at_zero: bool = False  # leaves samples unchanged at strength 0
+    strength_invariant: bool = False
 
 
 # The pool functions look gwi_bwo_pool and build_spoof_pool up when they run,
@@ -288,9 +291,9 @@ def _poison(d_ts: Dataset, model, strength: float, rng) -> Dataset:
 
 GENERATORS: Mapping[str, AttackGenerator] = {
     "gwi_bwo": AttackGenerator("test", _gwi_bwo, reads_model=("linear_svm", "logistic_regression"), noop_at_zero=True),
-    "spoof_fingerprint": AttackGenerator("test", partial(_spoof, Trait.FINGERPRINT)),
-    "spoof_face": AttackGenerator("test", partial(_spoof, Trait.FACE)),
-    "poison_injection": AttackGenerator("train", _poison),
+    "spoof_fingerprint": AttackGenerator("test", partial(_spoof, Trait.FINGERPRINT), strength_invariant=True),
+    "spoof_face": AttackGenerator("test", partial(_spoof, Trait.FACE), strength_invariant=True),
+    "poison_injection": AttackGenerator("train", _poison, strength_invariant=True),
 }
 
 
@@ -408,24 +411,26 @@ def scenario_distribution_specs(
     scenario: AttackScenario,
     phase: str,
     strength: float,
-    source: Dataset,
+    clean: Mapping[Label, Dataset],
     attacked: Mapping[Label, Dataset],
 ) -> tuple[DistributionSpec, int]:
     """The attacked distribution of one phase at one strength, and the set size to draw.
 
-    Clean components are the label slices of the resampled ``source``
-    (stationarity: unmanipulated samples keep the design distribution);
-    attacked components are the pools of :func:`build_scenario_pools`.
-    A cell of zero mass gets no component, so no label slice is copied
-    that the sampler never draws from.  A training set drawn under a prior
-    override p holds ``len(source) / (1 - p)`` samples, so that its
-    legitimate part keeps the source's expected size; any other set holds
-    ``len(source)``.
+    Clean components are ``clean``, the label slices of the phase's
+    resampled set (:meth:`.Dataset.label_slices`; stationarity:
+    unmanipulated samples keep the design distribution); attacked
+    components are the pools of :func:`build_scenario_pools`.  A cell of
+    zero mass gets no component.  A training set drawn under a prior
+    override p holds ``n / (1 - p)`` samples, where ``n`` is the size of
+    the resampled set, so that its legitimate part keeps the set's
+    expected size; any other set holds ``n``, with the set's own prior.
     """
-    n = len(source)
+    n = sum(len(pool) for pool in clean.values())
+    if n == 0:
+        raise ValueError("empty dataset has no empirical prior")
     prior = scenario.prior_override(strength) if phase == "train" else None
     if prior is None:
-        prior = source.empirical_prior_malicious()
+        prior = len(clean[Label.MALICIOUS]) / n
     elif prior < 1.0:
         n = int(round(n / (1.0 - prior)))
     components: dict[tuple[Label, AttackFlag], Dataset] = {}
@@ -437,7 +442,7 @@ def scenario_distribution_specs(
     for lab in Label:
         for flag in AttackFlag:
             if spec.cell_probability(lab, flag) > 0.0:
-                pool = source.restrict(label=lab) if flag is AttackFlag.CLEAN else attacked.get(lab)
+                pool = clean[lab] if flag is AttackFlag.CLEAN else attacked.get(lab)
                 if pool is not None and len(pool) > 0:
                     components[(lab, flag)] = pool
     return spec, n

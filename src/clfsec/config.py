@@ -262,14 +262,14 @@ _specificity = _typed(
 )
 
 
+_FAR_AT_GAR = {"far_at_gar": _Field(_typed(lambda v: _is_number(v) and 0.0 < v <= 1.0, "a number in (0, 1]", float))}
+
+
 def _metric(value: Any, where: str) -> Metric:
     if value == "auc10":
         return Auc10()
     if isinstance(value, Mapping) and "far_at_gar" in value:
-        gar = value["far_at_gar"]
-        if not (_is_number(gar) and 0.0 < gar <= 1.0):
-            raise ConfigError(f"{where}.far_at_gar must be a number in (0, 1], got {gar!r}")
-        return FarAtGar(gar=float(gar))
+        return FarAtGar(gar=_read_section(value, _FAR_AT_GAR, where)["far_at_gar"])
     raise ConfigError(f"unknown metric {value!r}")
 
 
@@ -388,25 +388,35 @@ def _schema(cfg: Mapping) -> dict:
 
 
 def _data_schema(section: Any) -> dict:
-    """The data keys: the source picks whether ``path`` or ``synth`` is read, the method ``k`` or ``split_index``."""
+    """The data keys: the source picks whether ``path`` or ``synth`` is read, the method ``k`` or ``split_index``.
+
+    A key the source or method does not read is unknown; with an unknown
+    source or method, whose own problem is reported, neither of its keys is read.
+    """
     source = _get(section, "source")
     method = _get(_get(section, "resampling"), "method")
-    folds = _Field(_integer(2 if method == "cross_validation" else 1), 5)
     generator = next((g for name, g in synth.SOURCES.items() if name == source), None)
-    return {
-        # a missing source, path or split_index reads as null, which its parser rejects
-        "source": _Field(_choice((*_FILE_SOURCES, *synth.SOURCES)), None),
-        "path": _Field(_path, None) if source in _FILE_SOURCES else _UNREAD,
-        "synth": _UNREAD if generator is None else {
+    # a missing source, path or split_index reads as null, which its parser rejects
+    if source in _FILE_SOURCES:
+        origin = {"path": _Field(_path, None)}
+    elif generator is not None:
+        origin = {"synth": {
             key: _Field(_integer(), 0) if key == "seed" else _Field(_integer(0), _OMIT)
             for key in inspect.signature(generator).parameters
-        },
+        }}
+    else:
+        origin = {"path": _UNREAD, "synth": _UNREAD}
+    if method == "chronological":
+        split = {"split_index": _Field(_integer(1), None)}
+    elif method in tuple(_RESAMPLING):  # by equality: an unhashable method is reported, not raised on
+        split = {"k": _Field(_integer(2 if method == "cross_validation" else 1), 5)}
+    else:
+        split = {"k": _UNREAD, "split_index": _UNREAD}
+    return {
+        "source": _Field(_choice((*_FILE_SOURCES, *synth.SOURCES)), None),
+        **origin,
         "vocab_size": _Field(_integer(1), 1000),
-        "resampling": {
-            "method": _Field(_choice(_RESAMPLING)),
-            "k": _UNREAD if method == "chronological" else folds,
-            "split_index": _Field(_integer(1), None) if method == "chronological" else _UNREAD,
-        },
+        "resampling": {"method": _Field(_choice(_RESAMPLING)), **split},
         "train_size": _REMOVED,
         "test_size": _REMOVED,
     }

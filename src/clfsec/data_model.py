@@ -11,9 +11,13 @@ component ``p(X | Y=y, A=a)`` is an empirical pool, a :class:`Dataset`
 whose rows are drawn with replacement (clean design samples, or samples
 the adversary modified or injected).
 
-:func:`sample_dataset` draws labelled datasets from a spec i.i.d.: the
-class and flag of every sample first, then the pool rows of each
-(label, flag) cell in a fixed cell order.
+:func:`sample_dataset` draws a set from a spec i.i.d.: the class and flag
+of every sample first, then the pool rows of each (label, flag) cell in a
+fixed cell order.  The result is a :class:`Draw`, the set described by
+which pool row each sample is, with no feature copied; its features are
+gathered (:meth:`Draw.gather`) only for a set that is trained on, and a
+set that is only scored is scored through its pools, a sampled row
+taking its pool row's score.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "Label",
     "AttackFlag",
     "Dataset",
+    "Draw",
     "encode_labels",
     "DiagonalGaussian",
     "GammaProduct",
@@ -168,6 +173,10 @@ class Dataset:
 
     def restrict(self, label: Label) -> "Dataset":
         return self.subset(np.flatnonzero(self.label_codes == _LABEL_CODE[label]))
+
+    def label_slices(self) -> dict[Label, "Dataset"]:
+        """The rows of each label, in row order: the clean pools of an attacked distribution."""
+        return {lab: self.restrict(lab) for lab in Label}
 
     def is_binary(self) -> bool:
         return bool(np.all((self.features == 0.0) | (self.features == 1.0)))
@@ -369,12 +378,50 @@ def resample(data: Dataset, method: ResampleMethod, seed: int) -> FoldSet:
 # ---------------------------------------------------------------------------
 
 
-# sample_dataset copies a cell's rows in blocks of at most this many values (or
+@dataclass(frozen=True, eq=False)
+class Draw:
+    """A set drawn by :func:`sample_dataset`, described by the pool row each sample is.
+
+    ``cells`` maps each (label, flag) cell the spec has a pool for, in the
+    fixed cell order, to ``(pool, positions, rows)``: the samples at
+    ``positions`` of the set are the rows ``rows`` of ``pool`` (both empty
+    when the cell drew nothing).  A draw with replacement is fully
+    described by how often it takes each pool row (:meth:`multiplicities`),
+    the resampling vector of Efron & Tibshirani (1993).
+    """
+
+    label_codes: np.ndarray
+    flag_codes: np.ndarray
+    cells: Mapping[tuple[Label, AttackFlag], tuple[Dataset, np.ndarray, np.ndarray]]
+
+    def __len__(self) -> int:
+        return len(self.label_codes)
+
+    def gather(self) -> Dataset:
+        """The drawn set with its features: each sample's copied from its pool row."""
+        features = np.zeros((len(self), next(iter(self.cells.values()))[0].dimension))
+        step = max(1, _GATHER_VALUES // max(1, features.shape[1]))  # rows per block
+        for pool, positions, rows in self.cells.values():
+            for at in range(0, positions.size, step):
+                features[positions[at:at + step]] = pool.features[rows[at:at + step]]
+        return Dataset(features, self.label_codes, self.flag_codes)
+
+    def multiplicities(self) -> tuple[tuple[Dataset, ...], np.ndarray]:
+        """The cells' pools, in cell order, and how many times the set holds each of their rows.
+
+        The counts are ``np.bincount`` of each cell's rows, concatenated in
+        cell order; a row never drawn counts 0.
+        """
+        pools = tuple(pool for pool, _, _ in self.cells.values())
+        return pools, np.concatenate([np.bincount(rows, minlength=len(pool)) for pool, _, rows in self.cells.values()])
+
+
+# Draw.gather copies a cell's rows in blocks of at most this many values (or
 # one row): gathering a whole cell at once makes a temporary as large as the cell
 _GATHER_VALUES = 1 << 18
 
 
-def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> Dataset:
+def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> Draw:
     """Draw ``n`` samples from a distribution spec, i.i.d.
 
     Two independent substreams are derived from ``seed``: one for the
@@ -382,7 +429,8 @@ def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> Dataset:
     drawn with replacement from its cell's pool, one batch per cell in a
     fixed cell order, so two specs that differ only in a cell's pool
     contents draw the same labels and flags, and pairwise-coupled rows
-    for the unchanged cells.
+    for the unchanged cells.  No feature is copied: :meth:`Draw.gather`
+    gives the set as a :class:`Dataset`.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -403,14 +451,13 @@ def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> Dataset:
     )
     flag_codes = (u_a < p_att).astype(np.uint8)
 
-    features = np.zeros((n, spec.dimension()))
-    step = max(1, _GATHER_VALUES // max(1, features.shape[1]))  # rows per block
+    cells = {}
     # validate_spec leaves no cell that can be drawn without a non-empty pool
     for lab, flag in _CELL_ORDER:
-        idx = np.flatnonzero((label_codes == _LABEL_CODE[lab]) & (flag_codes == _FLAG_CODE[flag]))
-        if idx.size:
-            pool = spec.components[(lab, flag)]
-            rows = feature_rng.integers(0, len(pool), size=idx.size)
-            for at in range(0, idx.size, step):
-                features[idx[at:at + step]] = pool.features[rows[at:at + step]]
-    return Dataset(features, label_codes, flag_codes)
+        pool = spec.components.get((lab, flag))
+        if pool is not None:
+            positions = np.flatnonzero((label_codes == _LABEL_CODE[lab]) & (flag_codes == _FLAG_CODE[flag]))
+            # a cell that drew nothing takes nothing from the feature stream
+            rows = feature_rng.integers(0, len(pool), size=positions.size) if positions.size else positions
+            cells[(lab, flag)] = (pool, positions, rows)
+    return Draw(label_codes, flag_codes, cells)

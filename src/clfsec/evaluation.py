@@ -8,10 +8,17 @@ while a causative one retrains at each strength whose attack changes the
 training set.  Whether a scenario can be swept at all, and what an attack
 does to a training or testing phase (left untouched, or its attacked
 pools, distribution spec and set size), are decided in :mod:`.attacks`;
-this module only samples the sets, trains and scores.  The sweep keeps the
-scores of work item (fold 0, repetition 0), and the reports' ROCs are
-built from them, so each reported ROC comes from the model and testing
-set the sweep scored at that strength; no item is run twice.
+this module only draws the sets, trains and scores.
+
+A sampled testing set is a draw over its pools (:class:`.data_model.Draw`)
+and is never gathered: a sampled row's score is its pool row's score.
+Each pool is scored with one ``decision_scores`` call per model, the
+union of a set's pools is sorted once per model and set of pools, and the
+ROC at each strength weights each pool row by how often the draw takes
+it, which gives the ROC of the gathered set bit for bit.  The sweep keeps
+the ROCs of work item (fold 0, repetition 0), which the reports read, so
+each reported ROC comes from the model and testing set the sweep scored
+at that strength; no item is run twice.
 
 ROC curves are exact step/trapezoid constructions: samples tied on the
 score move as one block, which makes every derived quantity invariant
@@ -23,11 +30,12 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .attacks import (
+    GENERATORS,
     AttackScenario,
     build_scenario_pools,
     scenario_distribution_specs,
@@ -78,29 +86,42 @@ class FarAtGarResult(NamedTuple):
     reachable: bool
 
 
-def roc(scores, labels) -> RocCurve:
+def roc(scores, labels, weights=None) -> RocCurve:
     """Exact ROC from scores oriented larger = more malicious.
 
     Tied scores are grouped, so the curve walks one diagonal segment per
     tie block.  ``labels`` are ``Label`` members, their values or 0/1
-    codes; anything else raises ``ValueError``.
+    codes; anything else raises ``ValueError``.  ``weights``, when given,
+    are nonnegative integer multiplicities: the curve is the one of the
+    set that holds each row that many times, bit for bit (Fawcett 2006's
+    tie-aware construction with counts), and a row of weight 0 is left
+    out.  On scores already in decreasing order, as the sweep passes a
+    sorted union of pools, the stable sort is a linear pass.
     """
     scores = np.asarray(scores, dtype=np.float64)
     codes = encode_labels(labels)
-    n_m = int(codes.sum())
-    n_l = int(len(codes) - n_m)
+    if weights is None:
+        counts = np.ones(len(codes), dtype=np.int64)
+    else:
+        counts = np.asarray(weights)
+        if counts.shape != scores.shape or counts.dtype.kind not in "iu" or np.any(counts < 0):
+            raise ValueError("weights must be one nonnegative integer per score")
+        drawn = np.flatnonzero(counts > 0)
+        scores, codes, counts = scores[drawn], codes[drawn], counts[drawn]
+    n_m = int(counts @ codes)
+    n_l = int(counts.sum()) - n_m
     if n_m == 0 or n_l == 0:
         raise ValueError("ROC needs at least one sample of each class")
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
-    c = codes[order]
+    w = counts[order]
     # tie-block boundaries: last index of each run of equal scores
-    block_end = np.flatnonzero(np.r_[s[1:] != s[:-1], True])
-    cum_m = np.cumsum(c)[block_end]
-    cum_l = (block_end + 1) - cum_m
-    fp = np.r_[0.0, cum_l / n_l]
-    tp = np.r_[0.0, cum_m / n_m]
-    thresholds = np.r_[np.inf, s[block_end]]
+    block_end = np.flatnonzero(np.concatenate((s[1:] != s[:-1], [True])))
+    cum_m = np.cumsum(w * codes[order])[block_end]
+    cum_l = np.cumsum(w)[block_end] - cum_m
+    fp = np.concatenate(([0.0], cum_l / n_l))
+    tp = np.concatenate(([0.0], cum_m / n_m))
+    thresholds = np.concatenate(([np.inf], s[block_end]))
     return RocCurve(fp=fp, tp=tp, thresholds=thresholds)
 
 
@@ -108,20 +129,18 @@ def auc10(curve: RocCurve) -> float:
     """Area under the ROC polyline for false-positive rates in [0, 0.1].
 
     Trapezoidal within tie blocks; the step segment containing FP = 0.1 is
-    cut by linear interpolation.  The value lives in [0, 0.1].
+    cut by linear interpolation.  The value lives in [0, 0.1].  The
+    segments below the limit are summed left to right (``np.cumsum``),
+    then the cut one is added.
     """
     limit = 0.1
-    area = 0.0
-    fp, tp = curve.fp, curve.tp
-    for i in range(1, len(fp)):
-        f0, f1, t0, t1 = fp[i - 1], fp[i], tp[i - 1], tp[i]
-        if f1 <= limit:
-            area += (f1 - f0) * (t0 + t1) / 2.0
-            continue
-        if f0 < limit:
-            t_cut = t0 + (limit - f0) / (f1 - f0) * (t1 - t0)
-            area += (limit - f0) * (t0 + t_cut) / 2.0
-        break
+    f0, f1, t0, t1 = curve.fp[:-1], curve.fp[1:], curve.tp[:-1], curve.tp[1:]
+    past = np.flatnonzero(~(f1 <= limit))
+    k = past[0] if past.size else len(f1)  # the segments before the first one not ending within the limit
+    area = np.cumsum(np.concatenate(([0.0], (f1[:k] - f0[:k]) * (t0[:k] + t1[:k]) / 2.0)))[-1]
+    if k < len(f1) and f0[k] < limit:
+        t_cut = t0[k] + (limit - f0[k]) / (f1[k] - f0[k]) * (t1[k] - t0[k])
+        area += (limit - f0[k]) * (t0[k] + t_cut) / 2.0
     return float(area)
 
 
@@ -151,8 +170,8 @@ class Auc10:
     # lower values mean a more successful attack
     worst = min
 
-    def compute(self, scores: np.ndarray, label_codes: np.ndarray) -> float:
-        return auc10(roc(scores, label_codes))
+    def compute(self, curve: RocCurve) -> float:
+        return auc10(curve)
 
 
 @dataclass(frozen=True)
@@ -164,8 +183,8 @@ class FarAtGar:
     def name(self) -> str:
         return f"far_at_gar_{self.gar:g}"
 
-    def compute(self, scores: np.ndarray, label_codes: np.ndarray) -> float:
-        return far_at_gar(roc(scores, label_codes), self.gar).far
+    def compute(self, curve: RocCurve) -> float:
+        return far_at_gar(curve, self.gar).far
 
 
 Metric = Union[Auc10, FarAtGar]
@@ -180,9 +199,9 @@ Metric = Union[Auc10, FarAtGar]
 class SecurityCurve:
     """Metric mean/std over folds, indexed by attack-strength values.
 
-    ``first_item`` holds the ``(scores, label_codes)`` that work item
-    (fold 0, repetition 0) produced at each strength; it is not part of
-    the curve's value and is not serialized.
+    ``first_item`` holds the ROC of work item (fold 0, repetition 0) at
+    each strength; it is not part of the curve's value and is not
+    serialized.
     """
 
     strength_name: str
@@ -190,7 +209,7 @@ class SecurityCurve:
     means: tuple[float, ...]
     stds: tuple[float, ...]
     k: int
-    first_item: tuple[tuple[np.ndarray, np.ndarray], ...] = field(default=(), compare=False, repr=False)
+    first_item: tuple[RocCurve, ...] = field(default=(), compare=False, repr=False)
 
     def to_csv_text(self) -> str:
         lines = ["strength,mean,std,k"]
@@ -304,11 +323,34 @@ def select_svm_c(
         vals = []
         for tr, va in fold_set.pairs:
             model = train_linear_svm(tr, c_param=c, tolerance=tolerance)
-            vals.append(metric.compute(decision_scores(model, va.features), va.label_codes))
+            vals.append(metric.compute(roc(decision_scores(model, va.features), va.label_codes)))
         v = float(np.mean(vals))
         if v > best_v:
             best_c, best_v = c, v
     return float(best_c)
+
+
+class _Ranked(NamedTuple):
+    """A testing set's pools under one model: each pool's scores, and their union sorted by decreasing score."""
+
+    pools: tuple[Dataset, ...]
+    pool_scores: tuple[np.ndarray, ...]
+    order: np.ndarray  # sorts the pools' concatenated rows, stably
+    scores: np.ndarray  # the concatenated scores, sorted
+    labels: np.ndarray  # their label codes, in the same order
+
+
+def _rank(model, pools: tuple[Dataset, ...], last: _Ranked | None) -> _Ranked:
+    """Score and sort ``pools`` under ``model``; reuses ``last`` (same model) for the pools it holds."""
+    if last is not None and len(last.pools) == len(pools) and all(a is b for a, b in zip(last.pools, pools)):
+        return last
+    # ids are safe keys: ``last`` keeps its pools alive
+    known = {} if last is None else {id(p): sc for p, sc in zip(last.pools, last.pool_scores)}
+    pool_scores = tuple(known[id(p)] if id(p) in known else decision_scores(model, p.features) for p in pools)
+    scores = np.concatenate(pool_scores)
+    order = np.argsort(-scores, kind="stable")
+    labels = np.concatenate([p.label_codes for p in pools])
+    return _Ranked(pools, pool_scores, order, scores[order], labels[order])
 
 
 def _evaluate_item(
@@ -319,49 +361,77 @@ def _evaluate_item(
     seed: int,
     fi: int,
     rep: int,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Scores and label codes of one (fold, repetition) at each strength.
+) -> Iterator[RocCurve]:
+    """The testing ROC of one (fold, repetition) at each strength, in order.
 
-    At each strength, builds the training and testing sets, trains and
-    scores the testing set.  The scenario decides what happens to each
-    phase (:mod:`.attacks`): a phase it leaves untouched uses the resampled
-    set directly, so the strength-0 entry coincides with classical
-    performance evaluation; otherwise its attacked pools and distribution
-    spec give the set size, and this function only samples the set.  The
-    model is retrained only when the training set changes: the untouched
-    fold is the same set at every strength, while a sampled set is new, so
-    an item of an exploratory scenario trains once.
+    A generator: its caller reads each ROC before the next strength runs,
+    so an item holds one ROC at a time.
+
+    At each strength the scenario decides what happens to each phase
+    (:mod:`.attacks`): a phase it leaves untouched uses the resampled set
+    directly, so the strength-0 entry coincides with classical performance
+    evaluation; otherwise the phase's set is drawn from its attacked pools
+    and the label slices of its resampled set, with the size the
+    scenario's spec gives, and this function only draws it.
+
+    A training draw is gathered and trained on, and its pools are dropped
+    before training, as holding them would raise peak memory.  The model
+    is retrained only when the training set changes: the untouched fold
+    is the same set at every strength, while a draw is new, so an item of
+    an exploratory scenario trains once.  A testing draw is not gathered.
+    The testing fold's label slices, and its attacked pools when the
+    generator is strength-invariant, are built once per item; each pool
+    is scored once per model, the union of a draw's pools is sorted once
+    per model and set of pools, and the ROC weights each pool row by how
+    often the draw takes it.
     """
     d_tr, d_ts = folds.pairs[fi]
     tr_seed = derive_subseed(seed, "fold", fi, "rep", rep, "tr")
     ts_seed = derive_subseed(seed, "fold", fi, "rep", rep, "ts")
     pools_seed = derive_subseed(seed, "fold", fi, "rep", rep, "pools")
     train_seed = derive_subseed(seed, "fold", fi, "rep", rep, "train")
+    invariant = GENERATORS[scenario.strategy.generator].strength_invariant
+    test_clean, test_attacked = None, {}  # the testing phase's slices and pools, kept across strengths
 
-    def attacked_set(phase: str, s: float, src: Dataset, model, set_seed: int) -> Dataset:
-        if scenario.untouched(phase, s, src):
-            return src
-        attacked = build_scenario_pools(scenario, phase, d_ts, model, s, pools_seed)
-        spec, n = scenario_distribution_specs(scenario, phase, s, src, attacked)
-        return sample_dataset(spec, n, set_seed)
+    def training_set(s: float) -> Dataset:
+        if scenario.untouched("train", s, d_tr):
+            return d_tr
+        attacked = build_scenario_pools(scenario, "train", d_ts, None, s, pools_seed)
+        spec, n = scenario_distribution_specs(scenario, "train", s, d_tr.label_slices(), attacked)
+        return sample_dataset(spec, n, tr_seed).gather()
+
+    def testing_draw(s: float, model):
+        """The testing draw at this strength, or None when the fold is tested as it is."""
+        nonlocal test_clean, test_attacked
+        if scenario.untouched("test", s, d_ts):
+            return None
+        attacked = test_attacked or build_scenario_pools(scenario, "test", d_ts, model, s, pools_seed)
+        if invariant:
+            test_attacked = attacked  # an empty one is built again at the next strength
+        if test_clean is None:
+            test_clean = d_ts.label_slices()
+        spec, n = scenario_distribution_specs(scenario, "test", s, test_clean, attacked)
+        return sample_dataset(spec, n, ts_seed)
 
     def train(tr: Dataset):
         return train_classifier(_resolve_classifier(classifier_config, tr, train_seed), tr, seed=train_seed)
 
     model, on_fold = None, False  # on_fold: the model was trained on the untouched fold
-    out = []
+    ranked = None  # the last testing set's pools, scored and sorted under the current model
     for s in strengths:
         try:
-            tr = attacked_set("train", s, d_tr, None, tr_seed)
-            if not (on_fold and tr is d_tr):  # a sampled training set is new at every strength
+            tr = training_set(s)
+            if not (on_fold and tr is d_tr):  # a drawn training set is new at every strength
+                ranked = None  # scored by the model being replaced
                 model, on_fold = train(tr), tr is d_tr
-            del tr  # not held while the testing set is built and scored: it would raise peak memory
-            ts = attacked_set("test", s, d_ts, model, ts_seed)
-            out.append((decision_scores(model, ts.features), ts.label_codes))
-            del ts  # likewise not held while the next strength's testing set is built
+            del tr  # not held while the testing set is scored: it would raise peak memory
+            ts = testing_draw(s, model)
+            pools, weights = ((d_ts,), None) if ts is None else ts.multiplicities()
+            ranked = _rank(model, pools, ranked)
+            curve = roc(ranked.scores, ranked.labels, None if weights is None else weights[ranked.order])
         except Exception as exc:
             raise SweepError(f"fold {fi}, rep {rep}, strength {s:g}: {exc}") from exc
-    return out
+        yield curve
 
 
 def security_sweep(
@@ -377,7 +447,7 @@ def security_sweep(
     """Measure the metric at each attack strength, averaged over folds.
 
     Every (fold, repetition) work item is evaluated at each strength by
-    :func:`_evaluate_item`.  The scores of item (fold 0, repetition 0) are
+    :func:`_evaluate_item`.  The ROCs of item (fold 0, repetition 0) are
     kept on the returned curve, where :func:`scenario_roc` reads them.
     A sweep that :func:`.attacks.sweep_problems` rejects raises
     ``ValueError`` listing every problem before any item runs.
@@ -396,16 +466,16 @@ def security_sweep(
 
     items = [(fi, rep) for fi in range(folds.k) for rep in range(repetitions)]
     values = np.zeros((len(items), len(strengths)))
-    first_item: list[tuple[np.ndarray, np.ndarray]] = []
+    first_item: list[RocCurve] = []
 
     def run_item(item_index: int) -> None:
         fi, rep = items[item_index]
-        scored = _evaluate_item(folds, scenario, classifier_config, strengths, seed, fi, rep)
-        if item_index == 0:
-            first_item.extend(scored)
-        for si, (s, (scores, codes)) in enumerate(zip(strengths, scored)):
+        curves = _evaluate_item(folds, scenario, classifier_config, strengths, seed, fi, rep)
+        for si, (s, curve) in enumerate(zip(strengths, curves)):
+            if item_index == 0:
+                first_item.append(curve)
             try:
-                values[item_index, si] = metric.compute(scores, codes)
+                values[item_index, si] = metric.compute(curve)
             except Exception as exc:
                 raise SweepError(f"fold {fi}, rep {rep}, strength {s:g}: {exc}") from exc
 
@@ -433,8 +503,8 @@ def security_sweep(
 def scenario_roc(curve: SecurityCurve, strengths: Sequence[float]) -> list[RocCurve]:
     """ROC of fold 0 / repetition 0 at each strength (plot-ready report data).
 
-    Built from the scores the sweep itself kept for that item, so each
-    curve comes from the model and testing set that produced the sweep's
-    value at that strength.  Every strength must be one the sweep ran.
+    The ROCs the sweep itself kept for that item, so each curve comes from
+    the model and testing set that produced the sweep's value at that
+    strength.  Every strength must be one the sweep ran.
     """
-    return [roc(*curve.first_item[curve.strengths.index(float(s))]) for s in strengths]
+    return [curve.first_item[curve.strengths.index(float(s))] for s in strengths]

@@ -6,10 +6,12 @@ the attack oracle enumerates the whole Hamming ball, KKT residuals are
 computed straight from the optimality conditions, the greedy-attack
 reference flips one feature vector's words one at a time, the
 information-gain reference scores every term on its own with a per-term
-loop, and the FAR-at-GAR reference walks the ROC point by point.  The
-sweep referee is the exception: it calls the generators' pool functions,
-the sampler, the trainers, the scorer and the ROC, each of which has its
-own tests, and restates in plain code everything the sweep orchestrates.
+loop, the FAR-at-GAR and partial-AUC references walk the ROC point by
+point, and the sampler replay redraws a set sample by sample from the
+sampler's two substreams.  The sweep referee is the exception: it calls
+the generators' pool functions, the sampler, the trainers, the scorer
+and the ROC, each of which has its own tests, and restates in plain code
+everything the sweep orchestrates.
 """
 
 from __future__ import annotations
@@ -227,22 +229,82 @@ def far_at_gar_reference(fp: np.ndarray, tp: np.ndarray, gar: float) -> tuple[fl
     return 1.0, False
 
 
+def auc10_reference(fp: np.ndarray, tp: np.ndarray) -> float:
+    """Area under the ROC polyline for FP in [0, 0.1], one segment at a time.
+
+    Adds each trapezoid that ends within the limit, then the part of the
+    first one that does not, cut at FP = 0.1 by linear interpolation.
+    """
+    limit = 0.1
+    area = 0.0
+    for i in range(1, len(fp)):
+        f0, f1, t0, t1 = fp[i - 1], fp[i], tp[i - 1], tp[i]
+        if f1 <= limit:
+            area += (f1 - f0) * (t0 + t1) / 2.0
+            continue
+        if f0 < limit:
+            t_cut = t0 + (limit - f0) / (f1 - f0) * (t1 - t0)
+            area += (limit - f0) * (t0 + t_cut) / 2.0
+        break
+    return float(area)
+
+
+def sample_replay(spec: DistributionSpec, n: int, seed: int) -> Dataset:
+    """The set ``sample_dataset(spec, n, seed)`` draws, replayed sample by sample.
+
+    ``derive_rng(seed, "labels")`` gives n uniforms that pick each class,
+    then n that pick each flag; ``derive_rng(seed, "features")`` gives one
+    batch of pool rows per cell, in the order (L, F), (L, T), (M, F),
+    (M, T), skipping a cell with no sample, one row per sample of the
+    cell in set order.
+    """
+    label_rng = derive_rng(seed, "labels")
+    feature_rng = derive_rng(seed, "features")
+    u_y = label_rng.random(n)
+    u_a = label_rng.random(n)
+    cells = []
+    for i in range(n):
+        lab = Label.MALICIOUS if u_y[i] < spec.prior_malicious else Label.LEGITIMATE
+        flag = AttackFlag.ATTACKED if u_a[i] < spec.attack_prob.get(lab, 0.0) else AttackFlag.CLEAN
+        cells.append((lab, flag))
+    rows = [None] * n
+    for cell in (
+        (Label.LEGITIMATE, AttackFlag.CLEAN),
+        (Label.LEGITIMATE, AttackFlag.ATTACKED),
+        (Label.MALICIOUS, AttackFlag.CLEAN),
+        (Label.MALICIOUS, AttackFlag.ATTACKED),
+    ):
+        members = [i for i in range(n) if cells[i] == cell]
+        if members:
+            pool = spec.components[cell]
+            for i, j in zip(members, feature_rng.integers(0, len(pool), size=len(members))):
+                rows[i] = pool.features[j]
+    return Dataset(
+        np.array(rows).reshape(n, -1),
+        [int(lab is Label.MALICIOUS) for lab, _ in cells],
+        [int(flag is AttackFlag.ATTACKED) for _, flag in cells],
+    )
+
+
 def security_sweep_reference(folds, scenario, classifier_config, strengths, metric, seed, repetitions=1):
     """``(means, stds, first_item)`` of a security sweep, by the naive schedule.
 
-    For every (fold, repetition) item and every strength it materializes
-    both phases' sets, always retrains, scores every testing row with one
-    ``decision_scores`` call (row-at-a-time products differ from a batched
-    one in the last bit) and computes the metric from ``roc``.  A phase's
-    set is a fresh copy of the fold when the attack leaves the phase
-    untouched, else a sample of the spec and set size assembled here.
-    Mean and ddof=1 standard deviation are plain loops over the items, in
-    item order.  ``first_item`` holds item (fold 0, repetition 0)'s scores
-    and label codes at each strength.  The scenario must be sweepable.
+    For every (fold, repetition) item and every strength it builds both
+    phases' sets, always retrains on the training set's features and
+    computes the metric from ``roc``.  A phase's set is a fresh copy of the
+    fold when the attack leaves the phase untouched, else a draw of the
+    spec and set size assembled here, with its attacked pools rebuilt.  A
+    testing row's score is its pool row's: each pool (the fold copy, or
+    each drawn cell's pool) is scored with one ``decision_scores`` call
+    (row-at-a-time products differ from a batched one in the last bit),
+    and a drawn row takes the score of the pool row it is.  Mean and
+    ddof=1 standard deviation are plain loops over the items, in item
+    order.  ``first_item`` holds item (fold 0, repetition 0)'s ROC at each
+    strength.  The scenario must be sweepable.
     """
     generator = GENERATORS[scenario.strategy.generator]
 
-    def materialize(phase, s, src, d_ts, model, set_seed, pools_seed):
+    def build(phase, s, src, d_ts, model, set_seed, pools_seed):
         cap = scenario.capability
         fractions = {lab: scenario.attacked_fraction(phase, lab, s) for lab in Label}
         prior = scenario.prior_override(s) if phase == "train" else None
@@ -267,6 +329,16 @@ def security_sweep_reference(folds, scenario, classifier_config, strengths, metr
                     components[(lab, flag)] = pool
         return sample_dataset(DistributionSpec(prior, fractions, components), n, set_seed)
 
+    def testing_scores(model, ts):
+        if isinstance(ts, Dataset):
+            return decision_scores(model, ts.features)
+        scores = np.zeros(len(ts))
+        for pool, positions, rows in ts.cells.values():
+            pool_scores = decision_scores(model, pool.features)
+            for i, j in zip(positions, rows):
+                scores[i] = pool_scores[j]
+        return scores
+
     values = []  # one row of metric values per item
     first_item = []
     for fi in range(folds.k):
@@ -278,14 +350,15 @@ def security_sweep_reference(folds, scenario, classifier_config, strengths, metr
             row = []
             for s in strengths:
                 s = float(s)
-                tr = materialize("train", s, d_tr, d_ts, None, derive_subseed(seed, *tags, "tr"), pools_seed)
+                tr = build("train", s, d_tr, d_ts, None, derive_subseed(seed, *tags, "tr"), pools_seed)
+                if not isinstance(tr, Dataset):
+                    tr = tr.gather()
                 model = train_classifier(classifier_config, tr, seed=train_seed)
-                ts = materialize("test", s, d_ts, d_ts, model, derive_subseed(seed, *tags, "ts"), pools_seed)
-                scores = decision_scores(model, ts.features)
-                curve = roc(scores, ts.label_codes)
+                ts = build("test", s, d_ts, d_ts, model, derive_subseed(seed, *tags, "ts"), pools_seed)
+                curve = roc(testing_scores(model, ts), ts.label_codes)
                 row.append(auc10(curve) if isinstance(metric, Auc10) else far_at_gar(curve, metric.gar).far)
                 if fi == 0 and rep == 0:
-                    first_item.append((scores, ts.label_codes))
+                    first_item.append(curve)
             values.append(row)
     means, stds = [], []
     for si in range(len(strengths)):

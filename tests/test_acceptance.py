@@ -276,7 +276,7 @@ def test_criterion_09_poisoning_gamma_contrast():
                 d_tr,
                 seed=derive_subseed(42, "fold", 0, "rep", 0, "train"),
             )
-            plain = Auc10().compute(decision_scores(model, d_ts.features), d_ts.label_codes)
+            plain = Auc10().compute(roc(decision_scores(model, d_ts.features), d_ts.label_codes))
             # averaging identical per-repetition values costs at most an ulp
             assert curves[gamma][0] == pytest.approx(plain, abs=1e-12)
         # the sharp kernel falls below the smooth one somewhere at p_max <= 0.2

@@ -28,6 +28,7 @@ from clfsec.data_model import (
     Label,
     sample_dataset,
 )
+from clfsec.rng import derive_rng
 
 from canned import canned_scenario
 from oracles import gwi_bwo_reference, hamming_ball_minimum
@@ -196,7 +197,7 @@ class TestPoisoning:
     def _train_spec(self, d_tr, d_ts, p):
         scen = canned_scenario("ids_poison")
         pools = build_scenario_pools(scen, "train", d_ts, None, p, 0)
-        spec, _ = scenario_distribution_specs(scen, "train", p, d_tr, pools)
+        spec, _ = scenario_distribution_specs(scen, "train", p, d_tr.label_slices(), pools)
         return spec
 
     def test_zero_poison_yields_pure_legitimate(self, rng):
@@ -215,7 +216,7 @@ class TestPoisoning:
     def test_attack_samples_come_from_pool(self, rng):
         vectors = rng.normal(size=(3, 2))
         d_tr, d_ts = self._sets(rng, vectors)
-        out = sample_dataset(self._train_spec(d_tr, d_ts, 0.1), 1000, seed=3)
+        out = sample_dataset(self._train_spec(d_tr, d_ts, 0.1), 1000, seed=3).gather()
         pool_rows = {tuple(r) for r in vectors}
         attacked = out.features[out.flag_codes == 1]
         assert len(attacked) > 0
@@ -236,7 +237,7 @@ class TestPoisoning:
             components={(L, AttackFlag.CLEAN): d_tr.restrict(label=L)},
         )
         poisoned0 = self._train_spec(d_tr, d_ts, 0.0)
-        assert sample_dataset(poisoned0, 300, seed=42) == sample_dataset(clean_spec, 300, seed=42)
+        assert sample_dataset(poisoned0, 300, seed=42).gather() == sample_dataset(clean_spec, 300, seed=42).gather()
 
 
 class TestScenarioConsistency:
@@ -349,6 +350,16 @@ class TestGenerators:
         assert build_scenario_pools(scen, other, d_ts, m, 2, 0) == {}
 
 
+    @pytest.mark.parametrize("name", [name for name in sorted(GENERATORS) if GENERATORS[name].strength_invariant])
+    def test_strength_invariant_pool_is_the_same_at_every_strength(self, name, rng):
+        generator = GENERATORS[name]
+        assert generator.reads_model == ()  # so the pool does not change when the model is retrained
+        d_ts = Dataset.from_arrays(rng.random((20, 2)), [L] * 12 + [M] * 8)
+        first = generator.pool(d_ts, None, 0.25, derive_rng(3, "pools", generator.phase))
+        for strength in (0.5, 1.0):
+            assert generator.pool(d_ts, None, strength, derive_rng(3, "pools", generator.phase)) == first
+
+
 class TestScenarioPools:
     def _sets(self, rng):
         d_tr = Dataset.from_arrays(
@@ -367,7 +378,7 @@ class TestScenarioPools:
         train_pools = build_scenario_pools(scen, "train", d_ts, m, 2, 0)
         assert train_pools == {}
         # a training spec built anyway holds only the clean slices of the fold
-        spec, n = scenario_distribution_specs(scen, "train", 2, d_tr, train_pools)
+        spec, n = scenario_distribution_specs(scen, "train", 2, d_tr.label_slices(), train_pools)
         assert set(spec.components) == {(L, AttackFlag.CLEAN), (M, AttackFlag.CLEAN)}
         assert spec.components[(L, AttackFlag.CLEAN)] == d_tr.restrict(label=L)
         assert spec.components[(M, AttackFlag.CLEAN)] == d_tr.restrict(label=M)

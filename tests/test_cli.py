@@ -203,7 +203,7 @@ class TestEvaluate:
         )
         # attack-free reduction: mean equals plain evaluation of the same fold
         from clfsec.classifiers import ClassifierConfig, decision_scores, train_classifier
-        from clfsec.evaluation import Auc10
+        from clfsec.evaluation import Auc10, roc
         from clfsec.rng import derive_subseed
 
         traffic = synthetic_ids_traffic(seed=5)
@@ -214,7 +214,7 @@ class TestEvaluate:
             d_tr,
             seed=derive_subseed(42, "fold", 0, "rep", 0, "train"),
         )
-        plain = Auc10().compute(decision_scores(model, d_ts.features), d_ts.label_codes)
+        plain = Auc10().compute(roc(decision_scores(model, d_ts.features), d_ts.label_codes))
         assert float(keys["strength0"]) == plain
 
     def test_evaluate_ingests_what_the_config_names(self, tmp_path):
@@ -336,6 +336,53 @@ class TestValidateCommand:
     @pytest.mark.parametrize(
         "name, edit, message",
         [
+            (
+                "spam_gwi_bwo",
+                lambda c: c["data"]["resampling"].update(k=3),
+                "unknown data.resampling keys ['k']; known: method, split_index",
+            ),
+            (
+                "bio_spoof_face",
+                lambda c: c["data"]["resampling"].update(split_index=100),
+                "unknown data.resampling keys ['split_index']; known: method, k",
+            ),
+            (
+                "ids_poison",
+                lambda c: c["data"].update(path="payloads.hex"),
+                "unknown data keys ['path']; known: source, synth, vocab_size, resampling",
+            ),
+            (
+                "ids_poison",
+                lambda c: c["data"].update(source="payloads", path="payloads.hex"),
+                "unknown data keys ['synth']; known: source, path, vocab_size, resampling",
+            ),
+            (
+                "bio_spoof_face",
+                lambda c: c["evaluation"].update(metric={"far_at_gar": 0.9, "x": 1}),
+                "unknown evaluation.metric keys ['x']; known: far_at_gar",
+            ),
+            (
+                "bio_spoof_face",
+                lambda c: c["evaluation"].update(metric={"far_at_gar": 0.9, "auc10": True}),
+                "unknown evaluation.metric keys ['auc10']; known: far_at_gar",
+            ),
+        ],
+        ids=["k-chronological", "split-index-cross-validation", "path-synthetic", "synth-file", "metric-x", "metric-auc10"],
+    )
+    def test_key_that_is_not_read_exits_2(self, name, edit, message, tmp_path, capsys):
+        cfg = canned_config(name)
+        cfg["output"]["directory"] = str(tmp_path / "o")
+        edit(cfg)
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        for command in ("validate", "evaluate"):
+            assert main([command, "--config", str(path)]) == 2
+            assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
             ("ids_poison", lambda c: c["attack"]["strength"].update(hi=0.4), "outside the scenario's p_max range"),
             ("ids_poison", lambda c: c["evaluation"].update(collect_roc=["x"]), "evaluation.collect_roc must be a list of numbers, got ['x']"),
             ("bio_spoof_face", lambda c: c["evaluation"].update(collect_roc="01"), "evaluation.collect_roc must be a list of numbers, got '01'"),
@@ -353,14 +400,19 @@ class TestValidateCommand:
             ("bio_spoof_face", lambda c: c["evaluation"].update(metric={"far_at_gar": 2}), "far_at_gar must be a number in (0, 1]"),
             ("ids_poison", lambda c: c["classifier"].update(gamma="x"), "classifier.gamma must be a number"),
             ("ids_poison", lambda c: c.update(output=None), "section 'output' is missing or not a mapping"),
-            ("ids_poison", lambda c: c["data"].update(source="payloads"), "data.path must be a path string"),
+            (
+                "ids_poison",
+                lambda c: c["data"].update(source="payloads"),
+                ("unknown data keys ['synth']; known: source, path, vocab_size, resampling", "data.path must be a path string"),
+            ),
             (
                 "spam_gwi_bwo",
-                lambda c: c["data"].update(source="emails", path="index", resampling={"method": "cross_validation"}),
+                lambda c: c.update(data={"source": "emails", "path": "index", "resampling": {"method": "cross_validation"}}),
                 "email ingestion needs chronological resampling",
             ),
             ("spam_gwi_bwo", lambda c: c["classifier"].update(C=10), "unknown classifier keys ['C']; known: family, c, tolerance, c_grid"),
             ("ids_poison", lambda c: c["data"].update(source=["dense"]), "data.source must be one of dense, emails, scores, payloads, synthetic-spam, synthetic-scores, synthetic-ids, got ['dense']"),
+            ("ids_poison", lambda c: c["data"]["resampling"].update(method=["chronological"]), "data.resampling.method must be one of chronological, cross_validation, bootstrap, got ['chronological']"),
             ("spam_gwi_bwo", lambda c: c["classifier"].update(family=["linear_svm"]), "classifier.family must be one of linear_svm, logistic_regression, one_class_svm, gamma_fusion, got ['linear_svm']"),
             ("ids_poison", lambda c: c["evaluation"].update(repetition=3), "unknown evaluation keys ['repetition']"),
             ("spam_gwi_bwo", lambda c: c["classifier"].update(c_grid=1.0), "c_grid must be a non-empty list of numbers"),
@@ -504,7 +556,7 @@ class TestValidateCommand:
             "repetitions-zero", "repetitions-not-integer", "jobs-not-integer", "seed-not-integer",
             "folds-zero", "folds-not-integer", "synth-count-not-integer", "gar-above-one",
             "classifier-value-not-numeric", "output-null", "file-source-without-path", "emails-cross-validation",
-            "classifier-key-typo", "source-list", "family-list", "evaluation-key-typo", "c-grid-not-a-list", "classifier-value-string",
+            "classifier-key-typo", "source-list", "method-list", "family-list", "evaluation-key-typo", "c-grid-not-a-list", "classifier-value-string",
             "epochs-not-integer", "attacked-fraction-above-one", "attacked-fraction-negative",
             "strength-fraction-above-one", "strength-prior-above-one",
             "gwi-bwo-legitimate-test-cell", "poison-test-cell", "spoof-train-cell", "gwi-bwo-one-class-svm",
@@ -702,7 +754,7 @@ class TestTableOneInstantiation:
         # training untouched: p_tr = p_D
         assert scen.untouched("train", 10, d_tr)
         pools = build_scenario_pools(scen, "test", d_ts, model, 10, 0)
-        ts_spec, n = scenario_distribution_specs(scen, "test", 10, d_ts, pools)
+        ts_spec, n = scenario_distribution_specs(scen, "test", 10, d_ts.label_slices(), pools)
         assert n == len(d_ts)
         # p_ts(Y) = p_D(Y); p_ts(A=T|L) = 0; p_ts(A=T|M) = 1
         assert ts_spec.prior_malicious == d_ts.empirical_prior_malicious()
@@ -722,7 +774,7 @@ class TestTableOneInstantiation:
         d_tr, d_ts = folds.pairs[0]
         assert scen.untouched("train", 1.0, d_tr)  # p_tr = p_D
         pools = build_scenario_pools(scen, "test", d_ts, None, 1.0, 0)
-        ts_spec, n = scenario_distribution_specs(scen, "test", 1.0, d_ts, pools)
+        ts_spec, n = scenario_distribution_specs(scen, "test", 1.0, d_ts.label_slices(), pools)
         assert n == len(d_ts)
         assert ts_spec.prior_malicious == d_ts.empirical_prior_malicious()
         assert ts_spec.attack_prob[L] == 0.0
@@ -737,7 +789,7 @@ class TestTableOneInstantiation:
         d_tr, d_ts = folds.pairs[0]
         assert scen.untouched("test", 0.4, d_ts)  # testing untouched: p_ts = p_D
         pools = build_scenario_pools(scen, "train", d_ts, None, 0.4, 0)
-        tr_spec, n = scenario_distribution_specs(scen, "train", 0.4, d_tr, pools)
+        tr_spec, n = scenario_distribution_specs(scen, "train", 0.4, d_tr.label_slices(), pools)
         # the legitimate part keeps the fold's expected size: n (1 - p_max) = len(d_tr)
         assert n == round(len(d_tr) / 0.6)
         # p_tr(M) = p_max; p_tr(A=T|L) = 0; p_tr(A=T|M) = 1

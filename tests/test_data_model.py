@@ -22,6 +22,8 @@ from clfsec.data_model import (
 )
 from clfsec.rng import derive_rng
 
+from oracles import sample_replay
+
 L, M = Label.LEGITIMATE, Label.MALICIOUS
 F, T = AttackFlag.CLEAN, AttackFlag.ATTACKED
 
@@ -212,7 +214,7 @@ class TestSampleDataset:
             attack_prob={L: 0.0, M: 1.0},
             components={(M, T): pool},
         )
-        out = sample_dataset(spec, 5, seed=0)
+        out = sample_dataset(spec, 5, seed=0).gather()
         assert len(out) == 5
         assert np.all(out.label_codes == 1) and np.all(out.flag_codes == 1)
         assert np.all(out.features == v)
@@ -250,8 +252,8 @@ class TestSampleDataset:
 
     def test_deterministic(self):
         spec = four_cell_spec(labeled_dataset(30, 30, seed=4), p_att_m=0.3)
-        a = sample_dataset(spec, 500, seed=99)
-        b = sample_dataset(spec, 500, seed=99)
+        a = sample_dataset(spec, 500, seed=99).gather()
+        b = sample_dataset(spec, 500, seed=99).gather()
         assert a == b
 
     def test_mixture_law_cell_frequencies(self):
@@ -273,7 +275,7 @@ class TestSampleDataset:
     def test_stationarity_clean_samples_from_pool(self):
         src = labeled_dataset(25, 25, seed=8)
         spec = four_cell_spec(src, p_att_m=0.5)
-        out = sample_dataset(spec, 400, seed=11)
+        out = sample_dataset(spec, 400, seed=11).gather()
         pool_rows = {lab: {tuple(r) for r in src.restrict(label=lab).features} for lab in (L, M)}
         for row, code, flag in zip(out.features, out.label_codes, out.flag_codes):
             if flag == 0:
@@ -290,7 +292,7 @@ class TestSampleDataset:
         other = four_cell_spec(labeled_dataset(4, 7, seed=16))
         for attack_prob in ({L: 0.3, M: 0.6}, {L: 0.0, M: 1.0}):
             spec = DistributionSpec(0.5, attack_prob, components)
-            out = sample_dataset(spec, 300, seed=5)
+            out = sample_dataset(spec, 300, seed=5).gather()
             rng = derive_rng(5, "features")
             want = np.zeros((300, 3))
             for lab, flag in ((L, F), (L, T), (M, F), (M, T)):
@@ -302,7 +304,7 @@ class TestSampleDataset:
             assert np.array_equal(out.features, want)
 
             # pools of other rows and sizes draw the same label and flag codes
-            moved = sample_dataset(DistributionSpec(0.5, attack_prob, other.components), 300, seed=5)
+            moved = sample_dataset(DistributionSpec(0.5, attack_prob, other.components), 300, seed=5).gather()
             assert np.array_equal(moved.label_codes, out.label_codes)
             assert np.array_equal(moved.flag_codes, out.flag_codes)
             assert not np.array_equal(moved.features, out.features)
@@ -321,6 +323,32 @@ class TestSampleDataset:
         assert validate_spec(spec) == []
         out = sample_dataset(spec, n, seed=seed)
         assert len(out) == n
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(0, 30), min_size=4, max_size=4),
+        prior=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        p_l=st.sampled_from([0.0, 0.4, 1.0]),
+        p_m=st.sampled_from([0.0, 0.7, 1.0]),
+        n=st.integers(1, 50),
+        sample_seed=st.integers(0, 2**16),
+    )
+    def test_gather_equals_replay_of_the_substreams(self, seed, sizes, prior, p_l, p_m, n, sample_seed):
+        # pools of repeated rows (ties) and of more rows than the draw takes (rows drawn 0 times)
+        rng = np.random.default_rng(seed)
+        cells = ((L, F), (L, T), (M, F), (M, T))
+        components = {}
+        for (lab, flag), size in zip(cells, sizes):
+            if size:
+                values = rng.integers(0, 3, size=(size, 2)).astype(float) + (10.0 if flag is T else 0.0)
+                components[(lab, flag)] = Dataset(values, np.full(size, int(lab is M)), np.full(size, int(flag is T)))
+        spec = DistributionSpec(prior, {L: p_l, M: p_m}, components)
+        if validate_spec(spec) or not components:
+            return
+        draw = sample_dataset(spec, n, seed=sample_seed)
+        assert draw.gather() == sample_replay(spec, n, sample_seed)
+        pools, counts = draw.multiplicities()
+        assert int(counts.sum()) == n and len(counts) == sum(len(p) for p in pools)
 
     def test_degenerate_priors_legal(self):
         spec = four_cell_spec(labeled_dataset(), prior=0.0)

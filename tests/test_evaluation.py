@@ -27,7 +27,7 @@ from clfsec.evaluation import (
 from clfsec.synth import synthetic_ids_traffic, synthetic_spam_corpus
 
 from canned import canned_scenario
-from oracles import far_at_gar_reference, security_sweep_reference
+from oracles import auc10_reference, far_at_gar_reference, security_sweep_reference
 
 L, M = Label.LEGITIMATE, Label.MALICIOUS
 
@@ -89,7 +89,75 @@ class TestRoc:
         assert far_at_gar(a, 0.7) == far_at_gar(b, 0.7)
 
 
+class TestWeightedRoc:
+    """``roc`` with multiplicities equals ``roc`` of the set that repeats each row that many times."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        for name in ("fp", "tp", "thresholds"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pool_size=st.integers(1, 40),
+        n=st.integers(1, 60),
+        levels=st.integers(1, 6),
+        p_malicious=st.floats(0.0, 1.0),
+    )
+    def test_equals_materialized_set(self, seed, pool_size, n, levels, p_malicious):
+        # few score levels give ties across labels; a pool larger than the draw leaves rows of count 0
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, levels, size=pool_size).astype(float)
+        codes = (rng.random(pool_size) < p_malicious).astype(np.uint8)
+        rows = rng.integers(0, pool_size, size=n)  # the draw, in set order
+        weights = np.bincount(rows, minlength=pool_size)
+        order = np.argsort(-scores, kind="stable")  # a pool union sorted once, as the sweep passes it
+        try:
+            want = roc(scores[rows], codes[rows])
+        except ValueError:
+            for args in ((scores, codes, weights), (scores[order], codes[order], weights[order])):
+                with pytest.raises(ValueError, match="each class"):
+                    roc(*args)
+            return
+        self._assert_same(roc(scores, codes, weights), want)
+        self._assert_same(roc(scores[order], codes[order], weights[order]), want)
+
+    def test_zero_weight_rows_leave_no_point(self):
+        # the row scored 2.0 is never drawn: its tie block must not appear
+        curve = roc(np.array([3.0, 2.0, 1.0]), [M, M, L], np.array([1, 0, 2]))
+        self._assert_same(curve, roc(np.array([3.0, 1.0, 1.0]), [M, L, L]))
+        assert curve.thresholds.tolist() == [np.inf, 3.0, 1.0]
+
+    @pytest.mark.parametrize("weights", [np.array([1, -1]), np.array([1.0, 1.0]), np.array([1, 1, 1])])
+    def test_weights_must_be_nonnegative_integers_per_row(self, weights):
+        with pytest.raises(ValueError, match="one nonnegative integer per score"):
+            roc(np.array([1.0, 2.0]), [M, L], weights)
+
+
 class TestAuc10:
+    @pytest.mark.parametrize(
+        "fp, tp",
+        [
+            ([0.0, 0.05, 0.3, 1.0], [0.0, 0.4, 0.9, 1.0]),  # crosses FP = 0.1 inside a segment
+            ([0.0, 0.0, 0.1, 0.5, 1.0], [0.0, 0.3, 0.6, 0.8, 1.0]),  # a point exactly at FP = 0.1
+            ([0.0, 0.1, 0.1, 1.0], [0.0, 0.2, 0.7, 1.0]),  # a vertical step at FP = 0.1
+            ([0.0, 0.02, 0.05], [0.0, 0.5, 0.6]),  # never reaches FP = 0.1
+            ([0.0, 1.0], [0.0, 1.0]),  # one segment across the whole range
+            ([0.0, 0.1], [0.0, 1.0]),  # ends exactly at FP = 0.1
+        ],
+    )
+    def test_matches_segment_loop(self, fp, tp):
+        curve = RocCurve(fp=np.array(fp), tp=np.array(tp), thresholds=np.zeros(len(fp)))
+        assert auc10(curve) == auc10_reference(curve.fp, curve.tp)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 2000), levels=st.integers(1, 2000))
+    def test_matches_segment_loop_on_random_curves(self, seed, n, levels):
+        # up to hundreds of segments below FP = 0.1: a pairwise or blocked sum would round differently
+        rng = np.random.default_rng(seed)
+        labels = [M, L] + [M if v else L for v in rng.random(n - 2) < 0.3]
+        curve = roc(rng.integers(0, levels, size=n).astype(float), labels)
+        assert auc10(curve) == auc10_reference(curve.fp, curve.tp)
+
     def test_perfect_is_exactly_point_one(self):
         curve = roc(np.array([2.0, 1.5, 1.0, 0.5]), [M, M, L, L])
         assert auc10(curve) == 0.1
@@ -187,7 +255,7 @@ class TestSecuritySweep:
         from clfsec.rng import derive_subseed
 
         model = train_classifier(cfg, d_tr, seed=derive_subseed(5, "fold", 0, "rep", 0, "train"))
-        plain = Auc10().compute(decision_scores(model, d_ts.features), d_ts.label_codes)
+        plain = Auc10().compute(roc(decision_scores(model, d_ts.features), d_ts.label_codes))
         assert curve.means[0] == plain
 
     def test_strengths_must_include_zero(self):
@@ -337,7 +405,7 @@ def _tiny_design_set(binary: bool, seed: int, n_per_class: int = 20) -> Dataset:
 
 
 class TestSweepReferee:
-    """``security_sweep`` equals the naive referee bit for bit: curve and first-item scores."""
+    """``security_sweep`` equals the naive referee bit for bit: curve and first-item ROCs."""
 
     @pytest.mark.parametrize(
         "generator, family",
@@ -395,8 +463,9 @@ class TestSweepReferee:
             )
         assert (curve.means, curve.stds) == (means, stds)
         assert len(curve.first_item) == len(first_item) == len(strengths)
-        for (scores, codes), (ref_scores, ref_codes) in zip(curve.first_item, first_item):
-            assert np.array_equal(scores, ref_scores) and np.array_equal(codes, ref_codes)
+        for got, want in zip(curve.first_item, first_item):
+            for name in ("fp", "tp", "thresholds"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class TestSweepVerdict:

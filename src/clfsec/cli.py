@@ -153,7 +153,6 @@ def _cmd_evaluate(args) -> int:
         run.metric,
         seed=run.seed,
         repetitions=run.repetitions,
-        jobs=run.jobs,
     )
 
     report = EvaluationReport(
@@ -229,7 +228,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, help="override evaluation.seed")
     parser.add_argument("--out", help="override output.directory")
-    parser.add_argument("--jobs", type=int, help="bound on concurrent work items")
+    parser.add_argument("--jobs", type=int, help="override evaluation.jobs (checked, not read)")
 
 
 def build_parser() -> argparse.ArgumentParser:

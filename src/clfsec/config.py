@@ -110,7 +110,6 @@ class RunConfig:
     collect_roc: tuple[float, ...]
     seed: int
     repetitions: int
-    jobs: int
     out_dir: Path
 
 
@@ -145,6 +144,7 @@ def parse_config(cfg: Mapping, base_dir: Path = Path()) -> RunConfig:
     if problems:
         raise ConfigError(*problems)
 
+    ev.pop("jobs", None)  # checked above, read by nothing
     source, resampling = data["source"], data["resampling"]
     method = _RESAMPLING[resampling["method"]]
     return RunConfig(
@@ -157,7 +157,7 @@ def parse_config(cfg: Mapping, base_dir: Path = Path()) -> RunConfig:
         classifier=_classifier(values["classifier"]),
         scenario=scenario,
         out_dir=values["output"]["directory"],
-        **ev,  # metric, seed, repetitions, jobs, collect_roc
+        **ev,  # metric, seed, repetitions, collect_roc
     )
 
 
@@ -243,6 +243,9 @@ _REMOVED = _Field(_removed, _OMIT)  # a removed key: silently ignoring it would 
 
 _flag = _typed(lambda v: isinstance(v, bool), "true or false")
 _string = _typed(lambda v: isinstance(v, str), "a string")
+_file_name = _typed(  # a name that output file names are built from
+    lambda v: isinstance(v, str) and "/" not in v and "\0" not in v, "a string without '/' or NUL"
+)
 _path = _typed(lambda v: isinstance(v, str), "a path string", Path)
 _number = _typed(_is_number, "a number", float)
 _raw_number = _typed(_is_number, "a number")  # the number as given: 1 stays 1
@@ -297,7 +300,7 @@ def _fraction_map(value: Any, where: str, parser: Callable = _fraction) -> dict[
 
 
 _ATTACK = {
-    "name": _Field(_string),
+    "name": _Field(_file_name),
     "influence": _Field(_choice([m.value for m in Influence], Influence)),
     "violation": _Field(_choice([m.value for m in Violation], Violation)),
     "specificity": _Field(_specificity, 0.0),
@@ -379,7 +382,7 @@ def _schema(cfg: Mapping) -> dict:
             "metric": _Field(_metric, "auc10"),
             "seed": _Field(_integer(), 0),
             "repetitions": _Field(_integer(1), 1),
-            "jobs": _Field(_integer(1), 1),
+            "jobs": _Field(_integer(1), _OMIT),  # checked, then dropped: work items run one at a time
             "collect_roc": _Field(_numbers, []),
             "scale_train_with_prior": _REMOVED,
         },

@@ -266,11 +266,6 @@ class DistributionSpec:
             p_a = 1.0 - p_a
         return p_y * p_a
 
-    def dimension(self) -> int:
-        for pool in self.components.values():
-            return pool.dimension
-        raise ValueError("spec has no components")
-
 
 # ---------------------------------------------------------------------------
 # validation

@@ -28,7 +28,6 @@ under strictly increasing score transforms.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -358,11 +357,12 @@ def _evaluate_item(
     scenario: AttackScenario,
     classifier_config: ClassifierConfig,
     strengths: Sequence[float],
+    metric: Metric,
     seed: int,
     fi: int,
     rep: int,
-) -> Iterator[RocCurve]:
-    """The testing ROC of one (fold, repetition) at each strength, in order.
+) -> Iterator[tuple[RocCurve, float]]:
+    """The testing ROC of one (fold, repetition) at each strength, and its metric, in order.
 
     A generator: its caller reads each ROC before the next strength runs,
     so an item holds one ROC at a time.
@@ -429,9 +429,10 @@ def _evaluate_item(
             pools, weights = ((d_ts,), None) if ts is None else ts.multiplicities()
             ranked = _rank(model, pools, ranked)
             curve = roc(ranked.scores, ranked.labels, None if weights is None else weights[ranked.order])
+            value = metric.compute(curve)
         except Exception as exc:
             raise SweepError(f"fold {fi}, rep {rep}, strength {s:g}: {exc}") from exc
-        yield curve
+        yield curve, value
 
 
 def security_sweep(
@@ -442,20 +443,15 @@ def security_sweep(
     metric: Metric,
     seed: int,
     repetitions: int = 1,
-    jobs: int = 1,
 ) -> SecurityCurve:
     """Measure the metric at each attack strength, averaged over folds.
 
     Every (fold, repetition) work item is evaluated at each strength by
-    :func:`_evaluate_item`.  The ROCs of item (fold 0, repetition 0) are
-    kept on the returned curve, where :func:`scenario_roc` reads them.
-    A sweep that :func:`.attacks.sweep_problems` rejects raises
-    ``ValueError`` listing every problem before any item runs.
-
-    Work items are independent; ``jobs`` bounds concurrency and never
-    changes the result (values land in a preallocated array and are
-    aggregated in item order, so a strength's mean and ddof=1 standard
-    deviation do not depend on the other strengths swept).
+    :func:`_evaluate_item`, one item after another in item order, on the
+    calling thread.  The ROCs of item (fold 0, repetition 0) are kept on
+    the returned curve, where :func:`scenario_roc` reads them.  A sweep
+    that :func:`.attacks.sweep_problems` rejects raises ``ValueError``
+    listing every problem before any item runs.
     """
     strengths = [float(s) for s in strengths]
     problems = sweep_problems(scenario, strengths, classifier_config.family)
@@ -465,26 +461,15 @@ def security_sweep(
         raise ValueError("repetitions must be >= 1")
 
     items = [(fi, rep) for fi in range(folds.k) for rep in range(repetitions)]
-    values = np.zeros((len(items), len(strengths)))
-    first_item: list[RocCurve] = []
-
-    def run_item(item_index: int) -> None:
-        fi, rep = items[item_index]
-        curves = _evaluate_item(folds, scenario, classifier_config, strengths, seed, fi, rep)
-        for si, (s, curve) in enumerate(zip(strengths, curves)):
-            if item_index == 0:
+    rows, first_item = [], []  # rows: each item's metric values, by strength
+    for fi, rep in items:
+        row = []
+        for curve, value in _evaluate_item(folds, scenario, classifier_config, strengths, metric, seed, fi, rep):
+            if (fi, rep) == (0, 0):
                 first_item.append(curve)
-            try:
-                values[item_index, si] = metric.compute(curve)
-            except Exception as exc:
-                raise SweepError(f"fold {fi}, rep {rep}, strength {s:g}: {exc}") from exc
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run_item, range(len(items))))
-    else:
-        for idx in range(len(items)):
-            run_item(idx)
+            row.append(value)
+        rows.append(row)
+    values = np.array(rows)
 
     # summed row by row in item order: numpy sums a lone column pairwise, which
     # would make a strength's value depend on how many strengths are swept

@@ -44,13 +44,13 @@ def merge_reports(reports: Sequence[EvaluationReport]) -> dict:
 
 
 def _csv_cell(v: str) -> str:
-    if "," in v or '"' in v:
+    if any(c in v for c in ',"\r\n'):
         return '"' + v.replace('"', '""') + '"'
     return v
 
 
 def _merged_csv(merged: dict) -> str:
-    header = [merged["strength_name"]] + [_csv_cell(s["name"]) for s in merged["series"]]
+    header = [_csv_cell(merged["strength_name"])] + [_csv_cell(s["name"]) for s in merged["series"]]
     lines = [",".join(header)]
     for i, g in enumerate(merged["grid"]):
         cells = [repr(g)]
@@ -91,9 +91,9 @@ def write_figure_bundle(reports: Sequence[EvaluationReport], out_dir: str | Path
         roc_curves = []
         for r, name, curve in roc_sets:
             series = f"{r.scenario}/{name}"
-            for f, t in zip(curve.fp, curve.tp):
-                lines.append(f"{series},{f!r},{t!r}")
-            roc_curves.append((series, curve.fp.tolist(), curve.tp.tolist()))
+            fp, tp = curve.fp.tolist(), curve.tp.tolist()  # plain floats: repr of a numpy scalar names its type
+            lines.extend(f"{_csv_cell(series)},{f!r},{t!r}" for f, t in zip(fp, tp))
+            roc_curves.append((series, fp, tp))
         roc_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(roc_csv)
         roc_svg = out_dir / "roc_curves.svg"
@@ -110,6 +110,11 @@ def write_figure_bundle(reports: Sequence[EvaluationReport], out_dir: str | Path
     return written
 
 
+# XML-escapes text, and replaces the control characters XML 1.0 cannot hold
+# (not xml.sax.saxutils.escape: importing it pulls in urllib.request, about 7 MB)
+_XML_TEXT = str.maketrans({
+    "&": "&amp;", "<": "&lt;", ">": "&gt;", **{chr(c): "\ufffd" for c in range(32) if chr(c) not in "\t\n\r"}
+})
 _PALETTE = ("#1f6fb2", "#c23b22", "#2e8b57", "#8a2be2", "#e8a200", "#555555")
 _W, _H = 640, 420
 _MARGIN = 60
@@ -153,10 +158,10 @@ def render_svg(
         f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>',
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_W - 2 * _MARGIN}" '
         f'height="{_H - 2 * _MARGIN}" fill="none" stroke="#888"/>',
-        f'<text x="{_W / 2:.1f}" y="{_H - 12}" text-anchor="middle">{x_label}'
+        f'<text x="{_W / 2:.1f}" y="{_H - 12}" text-anchor="middle">{x_label.translate(_XML_TEXT)}'
         f"{' (log)' if log_x else ''}</text>",
         f'<text x="16" y="{_H / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_H / 2:.1f})">{y_label}</text>',
+        f'transform="rotate(-90 16 {_H / 2:.1f})">{y_label.translate(_XML_TEXT)}</text>',
     ]
     for idx, (name, xs, ys) in enumerate(curves):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -164,6 +169,6 @@ def render_svg(
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         ly = _MARGIN + 16 + 16 * idx
         parts.append(f'<line x1="{_W - _MARGIN - 150}" y1="{ly - 4}" x2="{_W - _MARGIN - 130}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{_W - _MARGIN - 124}" y="{ly}">{name}</text>')
+        parts.append(f'<text x="{_W - _MARGIN - 124}" y="{ly}">{name.translate(_XML_TEXT)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

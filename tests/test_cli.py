@@ -296,6 +296,26 @@ class TestEvaluate:
         assert docs[0]["roc_curves"] and docs[0]["roc_curves"] == docs[1]["roc_curves"]
         assert docs[0]["curve"] == docs[1]["curve"]
 
+    def test_items_run_on_the_calling_thread_in_order(self, tmp_path, monkeypatch):
+        import threading
+
+        import clfsec.evaluation
+        from clfsec.rng import derive_subseed
+
+        calls = []
+        train = clfsec.evaluation.train_classifier
+
+        def recorded(config, data, seed):
+            calls.append((threading.get_ident(), seed))
+            return train(config, data, seed=seed)
+
+        monkeypatch.setattr(clfsec.evaluation, "train_classifier", recorded)
+        assert main(["evaluate", "--scenario", "bio_spoof_face", "--out", str(tmp_path), "--jobs", "2"]) == 0
+        cfg = canned_config("bio_spoof_face")
+        seed, k = cfg["evaluation"]["seed"], cfg["data"]["resampling"]["k"]
+        # an exploratory scenario trains once per item, with the item's own seed
+        assert calls == [(threading.get_ident(), derive_subseed(seed, "fold", fi, "rep", 0, "train")) for fi in range(k)]
+
     def test_inconsistent_scenario_exits_2_before_training(self, tmp_path, capsys):
         cfg = canned_config("spam_gwi_bwo")
         cfg["attack"]["knowledge"]["parameters"] = False  # generator needs k.iv
@@ -393,6 +413,8 @@ class TestValidateCommand:
             ("ids_poison", lambda c: c["evaluation"].update(repetitions=0), "evaluation.repetitions must be >= 1"),
             ("ids_poison", lambda c: c["evaluation"].update(repetitions="x"), "evaluation.repetitions must be an integer"),
             ("ids_poison", lambda c: c["evaluation"].update(jobs="x"), "evaluation.jobs must be an integer"),
+            ("ids_poison", lambda c: c["attack"].update(name="ids/poison"), "attack.name must be a string without '/' or NUL, got 'ids/poison'"),
+            ("ids_poison", lambda c: c["attack"].update(name="ids\0poison"), "attack.name must be a string without '/' or NUL"),
             ("ids_poison", lambda c: c["evaluation"].update(seed="x"), "evaluation.seed must be an integer"),
             ("bio_spoof_face", lambda c: c["data"]["resampling"].update(k=0), "data.resampling.k must be >= 2"),
             ("bio_spoof_face", lambda c: c["data"]["resampling"].update(k="x"), "data.resampling.k must be an integer"),
@@ -553,7 +575,8 @@ class TestValidateCommand:
         ids=[
             "strength-above-hi", "collect-roc-not-numeric", "collect-roc-outside-range", "collect-roc-not-a-strength",
             "collect-roc-string", "collect-roc-boolean", "collect-roc-numeric-string",
-            "repetitions-zero", "repetitions-not-integer", "jobs-not-integer", "seed-not-integer",
+            "repetitions-zero", "repetitions-not-integer", "jobs-not-integer", "attack-name-slash", "attack-name-nul",
+            "seed-not-integer",
             "folds-zero", "folds-not-integer", "synth-count-not-integer", "gar-above-one",
             "classifier-value-not-numeric", "output-null", "file-source-without-path", "emails-cross-validation",
             "classifier-key-typo", "source-list", "method-list", "family-list", "evaluation-key-typo", "c-grid-not-a-list", "classifier-value-string",
@@ -699,6 +722,34 @@ class TestReportCommand:
         assert hints["roc_curves"]["x_axis"] == "log"
         assert (tmp_path / "figs3" / "roc_curves.csv").is_file()
 
+    def test_artefacts_parse_whatever_the_names(self, tmp_path):
+        import csv
+        import xml.etree.ElementTree as ET
+
+        name = 'bio <&> "face",\x01 spoof'
+        cfg = canned_config("bio_spoof_face")
+        cfg["attack"]["name"] = name
+        cfg["attack"]["strength"]["name"] = "spoof, <fraction>"
+        cfg["output"]["directory"] = str(tmp_path / "bio")
+        p = tmp_path / "bio.yaml"
+        p.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert main(["evaluate", "--config", str(p)]) == 0
+        report = tmp_path / "bio" / f"report_{name}_gamma_fusion.json"
+        figs = tmp_path / "figs"
+        assert main(["report", str(report), "--out", str(figs)]) == 0
+        with open(figs / "roc_curves.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["series", "far", "gar"]
+        assert {row[0] for row in rows} == {f"{name}/strength_0", f"{name}/strength_1"}
+        assert all(len(row) == 3 and 0.0 <= float(row[1]) <= 1.0 and 0.0 <= float(row[2]) <= 1.0 for row in rows)
+        with open(figs / "security_curves.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["spoof, <fraction>", f"{name}/gamma_fusion(threshold=1.0)"]
+        assert [float(row[0]) for row in rows] == [0.0, 1.0] and all(float(row[1]) >= 0.0 for row in rows)
+        for svg in ("security_curves.svg", "roc_curves.svg"):
+            texts = [t.text for t in ET.parse(figs / svg).getroot().iter("{http://www.w3.org/2000/svg}text")]
+            assert any(name.replace("\x01", "\ufffd") in text for text in texts), texts
+
 
 class TestCannedConfigs:
     def test_every_canned_config_validates(self):
@@ -724,10 +775,11 @@ class TestCannedConfigs:
         ]
         for cfg, source, family, generator, strengths, metric, jobs in expected:
             assert cfg["output"]["formats"] and "prior_override" in cfg["attack"]["strategy"]
+            assert cfg["evaluation"]["jobs"] == jobs  # checked, though no longer read
             run = parse_config(cfg)
             assert (run.source, run.classifier.family, run.scenario.strategy.generator) == (source, family, generator)
             assert run.scenario.strength.values == tuple(map(float, strengths))
-            assert (run.metric, run.jobs) == (metric, jobs)
+            assert run.metric == metric
 
     def test_fraction_maps_take_every_label_name(self):
         attack = canned_config("bio_spoof_face")["attack"]

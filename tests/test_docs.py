@@ -1,5 +1,6 @@
 """The README documents what the code accepts."""
 
+import argparse
 import re
 from collections.abc import Mapping
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from clfsec import synth
 from clfsec.classifiers import CLASSIFIER_PARAMS
+from clfsec.cli import build_parser
 from clfsec.config import _FILE_SOURCES, _REMOVED, _RESAMPLING, _schema, ConfigError, canned_config, parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -50,6 +52,25 @@ def test_readme_names_every_key_parse_config_accepts():
     text = README.read_text(encoding="utf-8")
     assert {"version", "data.resampling.k", "classifier.epochs", "data.synth.n_train", "output.formats"} <= _accepted_keys()
     assert sorted(name for name in _accepted_keys() if f"`{name}`" not in text) == []
+
+
+def _cli_options() -> set[str]:
+    """Every option string of every ``clfsec`` subcommand, but argparse's own ``-h``/``--help``."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        option
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    }
+
+
+def test_readme_names_every_cli_flag():
+    text = README.read_text(encoding="utf-8")
+    assert {"--config", "--scenario", "--seed", "--out", "--jobs"} <= _cli_options()
+    # as a code span of its own, or one that goes on with the flag's value: `--seed <u64>`
+    assert sorted(o for o in _cli_options() if not re.search(rf"`{re.escape(o)}[` ]", text)) == []
 
 
 def test_removed_sparse_source_rejected():

@@ -282,8 +282,7 @@ class TestSecuritySweep:
         kw = dict(strengths=[0, 0.1, 0.2], metric=Auc10(), seed=11, repetitions=2)
         a = security_sweep(folds, canned_scenario("ids_poison"), cfg, **kw)
         b = security_sweep(folds, canned_scenario("ids_poison"), cfg, **kw)
-        c = security_sweep(folds, canned_scenario("ids_poison"), cfg, jobs=4, **kw)
-        assert a == b == c
+        assert a == b
 
     def test_single_item_std_is_zero(self):
         _, folds = self._spam()
@@ -419,20 +418,19 @@ class TestSweepReferee:
         zero_at=st.integers(0, 4),
         resampling=st.sampled_from([CrossValidation(2), CrossValidation(4), Bootstrap(3), Chronological(25)]),
         repetitions=st.integers(1, 2),
-        jobs=st.integers(1, 2),
         far=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     @example(
         fraction=1.0, prior_override="strength", grid=[2], zero_at=2,
-        resampling=CrossValidation(2), repetitions=2, jobs=2, far=False, seed=0,
+        resampling=CrossValidation(2), repetitions=2, far=False, seed=0,
     )  # the grid (0, 0.5, 0), or (0, 2, 0) flips: repeated and unsorted
     @example(
         fraction="strength", prior_override=None, grid=[], zero_at=0,
-        resampling=CrossValidation(4), repetitions=2, jobs=1, far=False, seed=3,
+        resampling=CrossValidation(4), repetitions=2, far=False, seed=3,
     )  # one strength, eight items
     def test_sweep_matches_reference(
-        self, generator, family, fraction, prior_override, grid, zero_at, resampling, repetitions, jobs, far, seed
+        self, generator, family, fraction, prior_override, grid, zero_at, resampling, repetitions, far, seed
     ):
         attack = canned_config(_CANNED_FOR_GENERATOR[generator])["attack"]
         attack["strategy"]["attacked_fraction"] = {GENERATORS[generator].phase: {"M": fraction}}
@@ -453,7 +451,7 @@ class TestSweepReferee:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # underflowing fusion densities, unreachable GAR
             try:
-                curve = security_sweep(folds, scenario, config, strengths, metric, seed, repetitions, jobs)
+                curve = security_sweep(folds, scenario, config, strengths, metric, seed, repetitions)
             except SweepError as exc:  # a sampled training set that holds too few of a class
                 with pytest.raises(type(exc.__cause__)):
                     security_sweep_reference(folds, scenario, config, strengths, metric, seed, repetitions)

@@ -184,6 +184,11 @@ class AttackScenario:
 # ---------------------------------------------------------------------------
 
 
+# gwi_bwo_pool works through a block of at most this many values (or one row)
+# at a time, so its temporaries stay small however large the pool
+_ATTACK_BLOCK_VALUES = 1 << 18
+
+
 def gwi_bwo_pool(source: Dataset, model: LinearModel, n_max: int) -> Dataset:
     """Greedy good-word-insertion / bad-word-obfuscation flips of every source sample (one output per input).
 
@@ -192,24 +197,28 @@ def gwi_bwo_pool(source: Dataset, model: LinearModel, n_max: int) -> Dataset:
     it is 0, cleared to 0 when its weight is positive and it is 1, and the
     scan stops after ``n_max`` flips.  This minimizes the discriminant over
     the Hamming ball of radius ``n_max``; zero-weight features are never
-    flipped.
+    flipped.  Rows are independent, so they are attacked in row blocks.
     """
     X = source.features
     w = model.weights
     if X.shape[1] != w.shape[0]:
         raise ValueError("dimension mismatch between pool and model")
-    if not source.is_binary():
-        raise ValueError("gwi/bwo attack requires binary feature vectors")
     if not 0 <= n_max <= X.shape[1]:
         raise ValueError(f"n_max must be nonnegative and at most the dimension {X.shape[1]}, got {n_max}")
     order = np.argsort(-np.abs(w), kind="stable")
-    cand = ((w < 0.0) & (X == 0.0)) | ((w > 0.0) & (X == 1.0))
-    cand_o = cand[:, order]  # scan order: decreasing |w|, ties by index
-    rank = cand_o.astype(np.int32)
-    np.cumsum(rank, axis=1, out=rank)  # candidates among the columns scanned so far
-    flip = (cand_o & (rank <= n_max))[:, np.argsort(order)]  # back to column order
+    back = np.argsort(order)
     attacked = X.copy()
-    attacked[flip] = 1.0 - attacked[flip]
+    step = max(1, _ATTACK_BLOCK_VALUES // max(1, X.shape[1]))  # rows per block
+    for at in range(0, len(attacked), step):
+        block = attacked[at:at + step]
+        zero, one = block == 0.0, block == 1.0
+        if not np.all(zero | one):
+            raise ValueError("gwi/bwo attack requires binary feature vectors")
+        cand_o = (((w < 0.0) & zero) | ((w > 0.0) & one))[:, order]  # scan order: decreasing |w|, ties by index
+        rank = cand_o.astype(np.int32)
+        np.cumsum(rank, axis=1, out=rank)  # candidates among the columns scanned so far
+        flip = (cand_o & (rank <= n_max))[:, back]  # back to column order
+        np.subtract(1.0, block, out=block, where=flip)
     return Dataset(
         attacked,
         source.label_codes.copy(),

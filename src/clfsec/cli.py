@@ -96,14 +96,14 @@ def _ingest(run: RunConfig) -> tuple[Dataset, dict]:
     if run.source == "payloads":
         return load_payloads(run.path), extras
     # emails, with chronological resampling (parse_config admits no other source)
-    token_sets, labels, skipped = tokenize_emails(run.path)
+    corpus, labels, skipped = tokenize_emails(run.path)
     if skipped:
         print(f"skipped {skipped} undecodable document(s)", file=sys.stderr)
     split = run.resampling.split_index
-    vocab = information_gain_select(token_sets[:split], labels[:split], run.vocab_size)
+    vocab = information_gain_select(corpus[:split], labels[:split], run.vocab_size)
     extras["vocabulary_size"] = len(vocab)
     extras["skipped_documents"] = skipped
-    return vectorize_corpus(token_sets, labels, vocab), extras
+    return vectorize_corpus(corpus, labels, vocab), extras
 
 
 # ---------------------------------------------------------------------------

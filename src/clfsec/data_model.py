@@ -178,9 +178,6 @@ class Dataset:
         """The rows of each label, in row order: the clean pools of an attacked distribution."""
         return {lab: self.restrict(lab) for lab in Label}
 
-    def is_binary(self) -> bool:
-        return bool(np.all((self.features == 0.0) | (self.features == 1.0)))
-
     def class_counts(self) -> dict[Label, int]:
         return {lab: int(np.sum(self.label_codes == code)) for lab, code in _LABEL_CODE.items()}
 

@@ -259,32 +259,66 @@ class EvaluationReport:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "EvaluationReport":
+        """Read a report document; a missing key or a value of the wrong type raises ``ValueError`` naming the key."""
         if not isinstance(doc, Mapping) or doc.get("format") != "clfsec-report" or doc.get("version") != 1:
             raise ValueError("unrecognized report document")
-        cur = doc["curve"]
+        cur = _report_value(doc, "", "curve", _OBJECT)
+        rocs = _report_value(doc, "", "roc_curves", _OBJECT, {})
         return cls(
-            scenario=doc["scenario"],
-            classifier=doc["classifier"],
-            metric=doc["metric"],
-            folds=doc["folds"],
-            seed=doc.get("seed"),
-            config=doc.get("config"),
+            scenario=_report_value(doc, "", "scenario", _STRING),
+            classifier=_report_value(doc, "", "classifier", _STRING),
+            metric=_report_value(doc, "", "metric", _STRING),
+            folds=_report_value(doc, "", "folds", _INTEGER),
+            seed=_report_value(doc, "", "seed", _or_null(_INTEGER), None),
+            config=_report_value(doc, "", "config", _or_null(_OBJECT), None),
             curve=SecurityCurve(
-                strength_name=cur["strength_name"],
-                strengths=tuple(cur["strengths"]),
-                means=tuple(cur["means"]),
-                stds=tuple(cur["stds"]),
-                k=cur["k"],
+                strength_name=_report_value(cur, "curve.", "strength_name", _STRING),
+                strengths=tuple(_report_value(cur, "curve.", "strengths", _NUMBERS)),
+                means=tuple(_report_value(cur, "curve.", "means", _NUMBERS)),
+                stds=tuple(_report_value(cur, "curve.", "stds", _NUMBERS)),
+                k=_report_value(cur, "curve.", "k", _INTEGER),
             ),
-            roc_curves={
-                name: RocCurve(
-                    fp=np.array(c["fp"]), tp=np.array(c["tp"]), thresholds=np.array(c["thresholds"])
-                )
-                for name, c in doc.get("roc_curves", {}).items()
-            },
-            started_at=doc.get("started_at", ""),
-            elapsed_seconds=doc.get("elapsed_seconds", 0.0),
+            roc_curves={name: _report_roc(rocs, name) for name in rocs},
+            started_at=_report_value(doc, "", "started_at", _STRING, ""),
+            elapsed_seconds=_report_value(doc, "", "elapsed_seconds", _NUMBER, 0.0),
         )
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the value kinds of a report's keys: (accepts, what it must be)
+_STRING = (lambda v: isinstance(v, str), "a string")
+_INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_NUMBER = (_is_number, "a number")
+_NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers")
+_OBJECT = (lambda v: isinstance(v, Mapping), "an object")
+_REQUIRED = object()
+
+
+def _or_null(kind):
+    accepts, what = kind
+    return (lambda v: v is None or accepts(v), f"{what} or null")
+
+
+def _report_value(doc: Mapping, where: str, key: str, kind, default=_REQUIRED):
+    """``doc[key]``, or ``default`` when the key is absent; an absent required key or a value not of ``kind`` raises ``ValueError``."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"report key {where}{key} is missing")
+        return default
+    accepts, what = kind
+    if not accepts(doc[key]):
+        raise ValueError(f"report key {where}{key} must be {what}, got {doc[key]!r}")
+    return doc[key]
+
+
+def _report_roc(rocs: Mapping, name: str) -> RocCurve:
+    curve = _report_value(rocs, "roc_curves.", name, _OBJECT)
+    return RocCurve(
+        *(np.array(_report_value(curve, f"roc_curves.{name}.", key, _NUMBERS)) for key in ("fp", "tp", "thresholds"))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +417,9 @@ def _evaluate_item(
     generator is strength-invariant, are built once per item; each pool
     is scored once per model, the union of a draw's pools is sorted once
     per model and set of pools, and the ROC weights each pool row by how
-    often the draw takes it.
+    often the draw takes it.  When the generator's pool depends on the
+    strength, no reference to one strength's attacked pool is held while
+    the next strength's is built, so an item holds one at a time.
     """
     d_tr, d_ts = folds.pairs[fi]
     tr_seed = derive_subseed(seed, "fold", fi, "rep", rep, "tr")
@@ -425,10 +461,16 @@ def _evaluate_item(
                 ranked = None  # scored by the model being replaced
                 model, on_fold = train(tr), tr is d_tr
             del tr  # not held while the testing set is scored: it would raise peak memory
+            if not invariant and ranked is not None:
+                # this strength builds its own attacked pool: the last one is not held while
+                # it is built, and the label slices keep their scores
+                slices = [p for p in ranked.pools if test_clean and any(p is q for q in test_clean.values())]
+                ranked = _rank(model, tuple(slices), ranked) if slices else None
             ts = testing_draw(s, model)
             pools, weights = ((d_ts,), None) if ts is None else ts.multiplicities()
             ranked = _rank(model, pools, ranked)
             curve = roc(ranked.scores, ranked.labels, None if weights is None else weights[ranked.order])
+            del ts, pools, weights  # with ``ranked``, the only holders of this strength's pools
             value = metric.compute(curve)
         except Exception as exc:
             raise SweepError(f"fold {fi}, rep {rep}, strength {s:g}: {exc}") from exc

@@ -2,7 +2,8 @@
 
 Turns raw material into :class:`~clfsec.data_model.Dataset` objects:
 
-* email text -> binary bag-of-words over an information-gain vocabulary;
+* email text -> a :class:`TermCorpus` of term ids -> binary bag-of-words
+  over an information-gain vocabulary;
 * network packet payloads -> 256-bin byte-frequency histograms (1-grams);
 * biometric matcher scores -> min-max normalized (fingerprint, face) pairs;
 * dense-CSV dataset files, the one dataset file format, which
@@ -21,23 +22,30 @@ Every reader walks the file with one line loop: blank lines are skipped
 everywhere, ``#`` comment lines in the index and payload files only, and
 an error names the offending ``<path>:<line>``.  The two CSV tables start
 with their header on line 1 and reject non-finite numbers.
+
+An email corpus is held as term ids, not as sets of strings: each term
+gets one id, in order of first appearance in the text, and each document
+is the sorted int32 array of its distinct ids, in compressed sparse row
+layout (Saad 2003).  Information gain needs only each term's per-class
+document frequencies (Yang & Pedersen 1997), which one ``np.bincount``
+per class gives.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .data_model import Dataset, Label, encode_labels
 
 __all__ = [
+    "TermCorpus",
     "Vocabulary",
     "ScoreTable",
     "MinMaxBounds",
@@ -52,9 +60,9 @@ __all__ = [
     "write_dense_csv",
 ]
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-_MIN_TOKEN_LEN = 2
-_MAX_TOKEN_LEN = 40
+# a token is a maximal run of [a-z0-9] of length 2-40; the lookarounds keep a
+# longer run from matching in pieces
+_TOKEN_RE = re.compile(r"(?<![a-z0-9])[a-z0-9]{2,40}(?![a-z0-9])")
 
 
 def _lines(path: Path, comments: bool = False) -> Iterator[tuple[int, str]]:
@@ -98,39 +106,93 @@ def _check_finite(values: np.ndarray, path: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _tokens(text: str) -> list[str]:
+    """Lowercase alphanumeric tokens of length 2-40, in text order, repeats included."""
+    return _TOKEN_RE.findall(text.lower())
+
+
 def tokenize_text(text: str) -> frozenset[str]:
     """Distinct lowercase alphanumeric tokens of length 2-40 (presence only)."""
-    return frozenset(
-        t for t in _TOKEN_RE.findall(text.lower()) if _MIN_TOKEN_LEN <= len(t) <= _MAX_TOKEN_LEN
-    )
+    return frozenset(_tokens(text))
 
 
-def tokenize_emails(index_path: str | Path) -> tuple[list[frozenset[str]], list[Label], int]:
-    """Tokenize a labelled email corpus.
+@dataclass(frozen=True, eq=False)
+class TermCorpus:
+    """Documents as sets of term ids, in compressed sparse row layout.
+
+    ``terms[i]`` is the term of id ``i``.  Document ``r`` is
+    ``ids[offsets[r]:offsets[r + 1]]``: its distinct term ids, increasing,
+    as int32.  Iterating yields these arrays, one per document.
+    """
+
+    terms: tuple[str, ...]
+    ids: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def from_documents(cls, documents: Iterable[Iterable[str]]) -> "TermCorpus":
+        """Give each term an id in order of first appearance, walking each document in its own order.
+
+        Documents are consumed one at a time; only their ids are kept.
+        """
+        term_id: dict[str, int] = {}
+        docs: list[np.ndarray] = []
+        for doc in documents:
+            terms = dict.fromkeys(doc)  # distinct, in first-appearance order
+            ids = np.fromiter((term_id.setdefault(t, len(term_id)) for t in terms), np.int32, len(terms))
+            ids.sort()
+            docs.append(ids)
+        offsets = np.concatenate(([0], np.cumsum([len(ids) for ids in docs], dtype=np.int64)))
+        ids = np.concatenate(docs) if docs else np.zeros(0, dtype=np.int32)
+        return cls(tuple(term_id), ids, offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        bounds = self.offsets.tolist()
+        return (self.ids[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
+
+    def __getitem__(self, rows: slice) -> "TermCorpus":
+        """The documents ``rows`` (consecutive ones), over the same term table."""
+        start, stop, step = rows.indices(len(self))
+        if step != 1:
+            raise ValueError("a corpus slice takes consecutive documents")
+        offsets = self.offsets[start:max(start, stop) + 1]
+        return TermCorpus(self.terms, self.ids[offsets[0]:offsets[-1]], offsets - offsets[0])
+
+
+def tokenize_emails(index_path: str | Path) -> tuple[TermCorpus, list[Label], int]:
+    """Tokenize a labelled email corpus into a :class:`TermCorpus`.
 
     ``index_path`` lists one ``<label> <path>`` pair per line, paths
-    relative to the index file.  Documents that cannot be decoded as UTF-8
-    or read are skipped with a warning; the skip count is returned.
+    relative to the index file.  Term ids follow the order in which terms
+    first appear in the text, so they do not depend on the string hash
+    seed.  Documents that cannot be decoded as UTF-8 or read are skipped
+    with a warning; the skip count is returned.
     """
     index_path = Path(index_path)
-    token_sets: list[frozenset[str]] = []
     labels: list[Label] = []
     skipped = 0
-    for lineno, line in _lines(index_path, comments=True):
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            raise _bad(index_path, lineno, "malformed index line")
-        lab = _parse_label(parts[0], index_path, lineno)
-        doc_path = index_path.parent / parts[1]
-        try:
-            text = doc_path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            warnings.warn(f"skipping {doc_path.resolve()}: {exc}", stacklevel=2)
-            skipped += 1
-            continue
-        token_sets.append(tokenize_text(text))
-        labels.append(lab)
-    return token_sets, labels, skipped
+
+    def documents() -> Iterator[list[str]]:
+        nonlocal skipped
+        for lineno, line in _lines(index_path, comments=True):
+            parts = line.split(None, 1)
+            if len(parts) != 2:
+                raise _bad(index_path, lineno, "malformed index line")
+            lab = _parse_label(parts[0], index_path, lineno)
+            doc_path = index_path.parent / parts[1]
+            try:
+                text = doc_path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                warnings.warn(f"skipping {doc_path.resolve()}: {exc}", stacklevel=4)  # the caller of tokenize_emails
+                skipped += 1
+                continue
+            labels.append(lab)
+            yield _tokens(text)
+
+    return TermCorpus.from_documents(documents()), labels, skipped
 
 
 @dataclass(frozen=True)
@@ -156,32 +218,38 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def information_gain_select(
-    token_sets: Sequence[frozenset[str]], labels: Sequence[Label], vocab_size: int
-) -> Vocabulary:
+def _one_label_per_document(corpus: TermCorpus, labels: Sequence[Label]) -> np.ndarray:
+    codes = encode_labels(labels)
+    if len(codes) != len(corpus):
+        raise ValueError(f"{len(codes)} labels for {len(corpus)} documents")
+    return codes
+
+
+def information_gain_select(corpus: TermCorpus, labels: Sequence[Label], vocab_size: int) -> Vocabulary:
     """Rank terms by IG(term) = H(Y) - H(Y | term presence); keep the top ones.
 
-    A term's gain depends only on its count pair (documents present,
+    Only terms present in some document of ``corpus`` are ranked.  A
+    term's gain depends only on its count pair (documents present,
     malicious documents present), so it is computed once per distinct pair.
     """
-    labs = encode_labels(labels).tolist()  # Python ints: a sum of uint8 wraps at 256
-    n = len(labs)
-    n_m = sum(labs)
+    codes = _one_label_per_document(corpus, labels)
+    n = len(codes)
+    n_m = int(np.count_nonzero(codes))
     n_l = n - n_m
     if n_l == 0 or n_m == 0:
         raise ValueError("information gain needs both classes present")
     h_y = _entropy(np.array([n_l, n_m], dtype=np.float64))
 
-    present_m = Counter(chain.from_iterable(t for t, y in zip(token_sets, labs) if y))
-    present = Counter(chain.from_iterable(t for t, y in zip(token_sets, labs) if not y))
-    present.update(present_m)
+    in_malicious = np.repeat(codes.astype(bool), np.diff(corpus.offsets))  # per (document, term) entry
+    present = np.bincount(corpus.ids, minlength=len(corpus.terms))
+    present_m = np.bincount(corpus.ids[in_malicious], minlength=len(corpus.terms))
+    seen = np.flatnonzero(present)
 
     # (-gain, term) pairs; the negated gain is a plain float, so the sort
     # compares floats directly instead of numpy scalars
     neg_gain_of: dict[tuple[int, int], float] = {}
     ranked: list[tuple[float, str]] = []
-    for term, n_p in present.items():
-        m_p = present_m[term]
+    for i, n_p, m_p in zip(seen.tolist(), present[seen].tolist(), present_m[seen].tolist()):
         neg_gain = neg_gain_of.get((n_p, m_p))
         if neg_gain is None:
             cond = np.array(
@@ -189,7 +257,7 @@ def information_gain_select(
             )  # rows: present / absent; cols: L / M
             h_cond = sum(row.sum() / n * _entropy(row) for row in cond)
             neg_gain = neg_gain_of[n_p, m_p] = -float(h_y - h_cond)
-        ranked.append((neg_gain, term))
+        ranked.append((neg_gain, corpus.terms[i]))
 
     ranked.sort()  # descending gain, ties lexicographic
     if vocab_size > len(ranked):
@@ -202,14 +270,25 @@ def information_gain_select(
     return Vocabulary(terms=tuple(t for _, t in top), gains=tuple(-g for g, _ in top))
 
 
-def vectorize_corpus(
-    token_sets: Sequence[frozenset[str]], labels: Sequence[Label], vocab: Vocabulary
-) -> Dataset:
+# vectorize_corpus sets a block of this many documents' ones at a time, so its
+# index temporaries stay small however large the corpus
+_VECTORIZE_ROWS = 1 << 10
+
+
+def vectorize_corpus(corpus: TermCorpus, labels: Sequence[Label], vocab: Vocabulary) -> Dataset:
+    """Binary bag-of-words: ``X[r, c] = 1`` when document ``r`` holds term ``vocab.terms[c]``."""
+    codes = _one_label_per_document(corpus, labels)
     idx = vocab.index()
-    X = np.zeros((len(token_sets), len(vocab)))
-    for r, toks in enumerate(token_sets):
-        X[r, [idx[t] for t in toks & idx.keys()]] = 1.0
-    return Dataset.from_arrays(X, list(labels))
+    column = np.array([idx.get(t, -1) for t in corpus.terms], dtype=np.intp)  # term id -> column; -1: not selected
+    X = np.zeros((len(corpus), len(vocab)))
+    offsets = corpus.offsets
+    for at in range(0, len(corpus), _VECTORIZE_ROWS):
+        stop = min(at + _VECTORIZE_ROWS, len(corpus))
+        cols = column[corpus.ids[offsets[at]:offsets[stop]]]
+        rows = np.repeat(np.arange(at, stop), np.diff(offsets[at:stop + 1]))
+        kept = cols >= 0
+        X[rows[kept], cols[kept]] = 1.0
+    return Dataset.from_arrays(X, codes)
 
 
 # ---------------------------------------------------------------------------

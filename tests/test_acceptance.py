@@ -309,12 +309,12 @@ def test_criterion_11a_trec_spam_evasion():
     """
     from clfsec.ingestion import information_gain_select, tokenize_emails, vectorize_corpus
 
-    token_sets, labels, _ = tokenize_emails(os.environ["CLFSEC_TREC_INDEX"])
-    token_sets, labels = token_sets[:20_000], labels[:20_000]
+    corpus, labels, _ = tokenize_emails(os.environ["CLFSEC_TREC_INDEX"])
+    corpus, labels = corpus[:20_000], labels[:20_000]
     scenario = canned_scenario("spam_gwi_bwo", [0, 60])
     for vocab_size in (1_000, 2_000, 10_000, 20_000):
-        vocab = information_gain_select(token_sets[:10_000], labels[:10_000], vocab_size)
-        data = vectorize_corpus(token_sets, labels, vocab)
+        vocab = information_gain_select(corpus[:10_000], labels[:10_000], vocab_size)
+        data = vectorize_corpus(corpus, labels, vocab)
         folds = resample(data, Chronological(10_000), seed=42)
         curve = security_sweep(
             folds,

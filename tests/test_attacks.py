@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from clfsec import attacks
 from clfsec.attacks import (
     GENERATORS,
     AttackScenario,
@@ -129,6 +130,29 @@ class TestGwiBwo:
                     np.testing.assert_array_equal(pool.features[i], gwi_bwo_reference(X[i], w, n_max))
         for got, want in zip((src.features, src.label_codes, src.flag_codes), before):
             np.testing.assert_array_equal(got, want)  # the source is not mutated
+
+
+class TestGwiBwoRowBlocks:
+    D = 256
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_matches_per_sample_reference_around_a_block(self, extra):
+        rows = attacks._ATTACK_BLOCK_VALUES // self.D + extra
+        rng = np.random.default_rng(rows)
+        w = rng.normal(size=self.D)
+        w[rng.random(self.D) < 0.1] = 0.0  # never flipped
+        X = (rng.random((rows, self.D)) < 0.5).astype(float)
+        n_max = self.D // 8
+        pool = gwi_bwo_pool(Dataset.from_arrays(X, [M] * rows), model(w), n_max)
+        want = np.array([gwi_bwo_reference(x, w, n_max) for x in X])
+        np.testing.assert_array_equal(pool.features, want)
+
+    def test_non_binary_row_of_a_later_block_rejected(self):
+        rows = attacks._ATTACK_BLOCK_VALUES // self.D + 1
+        X = np.zeros((rows, self.D))
+        X[-1, 3] = 0.5
+        with pytest.raises(ValueError, match="binary"):
+            gwi_bwo_pool(Dataset.from_arrays(X, [M] * rows), model(np.ones(self.D)), 1)
 
 
 def spoof_one(impostor, genuine, trait):

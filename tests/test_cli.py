@@ -708,6 +708,43 @@ class TestReportCommand:
         assert f"{path} is not a clfsec report" in capsys.readouterr().err
         assert not (tmp_path / "f").exists()
 
+    @pytest.fixture(scope="class")
+    def bio_report(self, tmp_path_factory) -> Path:
+        """The report of a small ``bio_spoof_face`` run, which holds ROC curves."""
+        root = tmp_path_factory.mktemp("bio")
+        cfg = canned_config("bio_spoof_face")
+        cfg["data"]["synth"] = {"seed": 11, "n_genuine": 120, "n_impostor": 400}
+        cfg["data"]["resampling"] = {"method": "cross_validation", "k": 3}
+        cfg["output"]["directory"] = str(root)
+        p = root / "bio.yaml"
+        p.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert main(["evaluate", "--config", str(p)]) == 0
+        return root / "report_bio_spoof_face_gamma_fusion.json"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["curve"].update(strength_name=5), "report key curve.strength_name must be a string, got 5"),
+            (lambda doc: doc["curve"].update(means="0.1 0.2"), "report key curve.means must be a list of numbers"),
+            (
+                lambda doc: doc["roc_curves"]["strength_0"].update(fp=0.5),
+                "report key roc_curves.strength_0.fp must be a list of numbers, got 0.5",
+            ),
+        ],
+        ids=["non-string-name", "string-means", "non-list-fp"],
+    )
+    def test_field_of_the_wrong_type_exits_2(self, edit, message, bio_report, tmp_path, capsys):
+        # such a report used to exit 1 with a TypeError from the figure writer
+        doc = json.loads(bio_report.read_text(encoding="utf-8"))
+        edit(doc)
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["report", str(bio_report), "--out", str(tmp_path / "ok")]) == 0
+        assert main(["report", str(path), "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path} is not a clfsec report" in err and message in err
+        assert not (tmp_path / "f").exists()
+
     def test_roc_bundle_with_log_hint(self, tmp_path):
         cfg = canned_config("bio_spoof_fingerprint")
         cfg["data"]["synth"] = {"seed": 11, "n_genuine": 120, "n_impostor": 400}

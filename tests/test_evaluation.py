@@ -347,6 +347,36 @@ class TestSecuritySweep:
         assert on_fold == [True, False, True]
         assert curve.means[0] == curve.means[2] == curve.means[3]
 
+    def test_one_attacked_pool_at_a_time_and_each_row_scored_once(self, monkeypatch):
+        import weakref
+
+        import clfsec.evaluation as evaluation
+
+        _, folds = self._spam()
+        d_ts = folds.pairs[0][1]
+        n_m = int(d_ts.label_codes.sum())
+        built, scored = [], []
+        build, score = evaluation.build_scenario_pools, evaluation.decision_scores
+
+        def recorded_build(*args, **kwargs):
+            # no pool of an earlier strength is alive when the next one is built
+            assert [ref() for ref in built] == [None] * len(built)
+            pools = build(*args, **kwargs)
+            built.extend(weakref.ref(pool.features) for pool in pools.values())
+            return pools
+
+        def recorded_score(model, features):
+            scored.append(len(features))
+            return score(model, features)
+
+        monkeypatch.setattr(evaluation, "build_scenario_pools", recorded_build)
+        monkeypatch.setattr(evaluation, "decision_scores", recorded_score)
+        scen = canned_scenario("spam_gwi_bwo", [0, 60])
+        security_sweep(folds, scen, ClassifierConfig("linear_svm", {"c": 1.0}), [0, 2, 4, 6], Auc10(), seed=5)
+        assert len(built) == 3
+        # the fold at strength 0; then the legitimate slice once, and each strength's attacked pool
+        assert scored == [len(d_ts), len(d_ts) - n_m, n_m, n_m, n_m]
+
     @pytest.mark.parametrize(
         "name, strengths", [("ids_poison", [0, 0.5]), ("bio_spoof_fingerprint", [0, 1])]
     )

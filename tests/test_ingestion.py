@@ -1,15 +1,22 @@
 import hashlib
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from clfsec import ingestion
 from clfsec.data_model import Dataset, Label
 from clfsec.ingestion import (
     MinMaxBounds,
+    TermCorpus,
     Vocabulary,
     information_gain_select,
     load_payloads,
@@ -25,6 +32,14 @@ from clfsec.ingestion import (
 from oracles import information_gain_reference
 
 L, M = Label.LEGITIMATE, Label.MALICIOUS
+
+
+def _corpus(token_sets) -> TermCorpus:
+    return TermCorpus.from_documents(token_sets)
+
+
+def _term_sets(corpus: TermCorpus) -> list[frozenset[str]]:
+    return [frozenset(corpus.terms[i] for i in doc.tolist()) for doc in corpus]
 
 
 class TestTokenizer:
@@ -52,10 +67,12 @@ class TestTokenizer:
         index = tmp_path / "index"
         index.write_text("spam a.txt\nham b.txt\nspam c.txt\n", encoding="utf-8")
         with pytest.warns(UserWarning, match="skipping"):
-            token_sets, labels, skipped = tokenize_emails(index)
+            corpus, labels, skipped = tokenize_emails(index)
         assert skipped == 1
         assert labels == [M, L]
-        assert token_sets[0] == {"buy", "viagra", "now"}
+        assert len(corpus) == 2
+        assert _term_sets(corpus)[0] == {"buy", "viagra", "now"}
+        assert corpus.terms == ("buy", "viagra", "now", "meeting", "agenda", "attached")  # first appearance
 
     def test_index_comments_skipped_and_malformed_line_named(self, tmp_path):
         (tmp_path / "a.txt").write_text("buy now", encoding="utf-8")
@@ -79,10 +96,10 @@ class TestTokenizer:
         )
         monkeypatch.chdir(tmp_path)  # a relative index path still yields an absolute name
         with pytest.warns(UserWarning, match="skipping") as record:
-            token_sets, labels, skipped = tokenize_emails("full/index")
+            corpus, labels, skipped = tokenize_emails("full/index")
         assert skipped == 1
         assert labels == [M, L]
-        assert token_sets == [tokenize_text(texts["a.txt"]), tokenize_text(texts["b.txt"])]
+        assert _term_sets(corpus) == [tokenize_text(texts["a.txt"]), tokenize_text(texts["b.txt"])]
         (message,) = [str(w.message) for w in record]
         assert message.startswith(f"skipping {(data / 'missing.txt').resolve()}: ")
 
@@ -95,14 +112,14 @@ class TestInformationGain:
     def test_perfect_term_has_full_entropy_gain(self):
         token_sets = [{"win"}, {"win"}, {"hello"}, {"hello"}]
         labels = [M, M, L, L]
-        vocab = information_gain_select(token_sets, labels, 2)
+        vocab = information_gain_select(_corpus(token_sets), labels, 2)
         assert vocab.terms[0] in ("hello", "win")
         assert vocab.gains[0] == pytest.approx(self._entropy(2, 2), abs=1e-12)
 
     def test_constant_term_gains_nothing(self):
         token_sets = [{"the", "win"}, {"the"}, {"the"}, {"the", "x"}]
         labels = [M, M, L, L]
-        vocab = information_gain_select(token_sets, labels, 10)
+        vocab = information_gain_select(_corpus(token_sets), labels, 10)
         gain = dict(zip(vocab.terms, vocab.gains))
         assert gain["the"] == pytest.approx(0.0, abs=1e-15)
 
@@ -110,7 +127,7 @@ class TestInformationGain:
         # docs: M:{a,b} M:{a} L:{b} L:{c}; hand entropy arithmetic in bits
         token_sets = [{"a", "b"}, {"a"}, {"b"}, {"c"}]
         labels = [M, M, L, L]
-        vocab = information_gain_select(token_sets, labels, 3)
+        vocab = information_gain_select(_corpus(token_sets), labels, 3)
         gain = dict(zip(vocab.terms, vocab.gains))
         h_y = 1.0
         # a: present in 2 (both M), absent in 2 (both L) -> IG = 1 bit
@@ -124,21 +141,21 @@ class TestInformationGain:
     def test_oversized_vocab_warns_and_keeps_all(self):
         token_sets = [{"a"}, {"b"}]
         with pytest.warns(UserWarning, match="distinct terms"):
-            vocab = information_gain_select(token_sets, [M, L], 10)
+            vocab = information_gain_select(_corpus(token_sets), [M, L], 10)
         assert len(vocab) == 2
 
     def test_ordering_gain_then_lexicographic(self):
         token_sets = [{"zz", "aa", "mm"}, {"zz", "aa", "mm"}, set(), set()]
         labels = [M, M, L, L]
-        vocab = information_gain_select(token_sets, labels, 3)
+        vocab = information_gain_select(_corpus(token_sets), labels, 3)
         assert list(vocab.terms) == ["aa", "mm", "zz"]  # equal gains, lexicographic
 
     def test_vocabulary_deterministic(self, rng):
         words = [f"w{i}" for i in range(25)]
         token_sets = [frozenset(w for w in words if rng.random() < 0.4) for _ in range(30)]
         labels = [M] * 15 + [L] * 15
-        a = information_gain_select(token_sets, labels, 15)
-        b = information_gain_select(list(token_sets), list(labels), 15)
+        a = information_gain_select(_corpus(token_sets), labels, 15)
+        b = information_gain_select(_corpus(list(token_sets)), list(labels), 15)
         assert a == b
 
     def test_nonnegative_gains(self, rng):
@@ -147,7 +164,7 @@ class TestInformationGain:
         labels = [M if rng.random() < 0.5 else L for _ in range(40)]
         if labels.count(M) in (0, 40):
             labels[0] = L if labels[0] is M else M
-        vocab = information_gain_select(token_sets, labels, 30)
+        vocab = information_gain_select(_corpus(token_sets), labels, 30)
         assert all(g >= -1e-15 for g in vocab.gains)
 
 
@@ -175,7 +192,7 @@ class TestInformationGain:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             try:
-                vocab = information_gain_select(token_sets, labels, vocab_size)
+                vocab = information_gain_select(_corpus(token_sets), labels, vocab_size)
             except ValueError:
                 assert not any(token_sets)  # no term at all: nothing to rank
                 return
@@ -188,7 +205,7 @@ class TestVectorize:
     VOCAB = Vocabulary(terms=("alpha", "beta", "gamma"), gains=(0.5, 0.3, 0.1))
 
     def _row(self, tokens):
-        return vectorize_corpus([frozenset(tokens)], [L], self.VOCAB).features[0]
+        return vectorize_corpus(_corpus([tokens]), [L], self.VOCAB).features[0]
 
     def test_empty_token_set(self):
         np.testing.assert_array_equal(self._row(set()), [0, 0, 0])
@@ -201,13 +218,13 @@ class TestVectorize:
         np.testing.assert_array_equal(self._row({"x", "y"}), [0, 0, 0])
 
     def test_corpus_vectorization(self):
-        ds = vectorize_corpus([frozenset({"alpha"}), frozenset({"beta", "zz"})], [M, L], self.VOCAB)
+        ds = vectorize_corpus(_corpus([{"alpha"}, {"beta", "zz"}]), [M, L], self.VOCAB)
         assert ds.dimension == 3
         np.testing.assert_array_equal(ds.features, [[1, 0, 0], [0, 1, 0]])
 
     def test_out_of_vocabulary_documents(self):
         token_sets = [frozenset({"delta", "zz"}), frozenset(), frozenset({"beta"}), frozenset({"x"})]
-        ds = vectorize_corpus(token_sets, [M, L, M, L], self.VOCAB)
+        ds = vectorize_corpus(_corpus(token_sets), [M, L, M, L], self.VOCAB)
         assert ds.features.shape == (4, 3)
         np.testing.assert_array_equal(ds.features, [[0, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 0]])
         assert ds.label_codes.tolist() == [1, 0, 1, 0]
@@ -220,10 +237,58 @@ class TestVectorize:
         vocab = Vocabulary(terms=terms, gains=tuple(1.0 / (i + 1) for i in range(len(terms))))
         token_sets = [frozenset(w for w in words if rng.random() < 0.4) for _ in range(n_docs)]
         labels = [M if rng.random() < 0.5 else L for _ in range(n_docs)]
-        ds = vectorize_corpus(token_sets, labels, vocab)
+        ds = vectorize_corpus(_corpus(token_sets), labels, vocab)
         want = np.array([[1.0 if t in toks else 0.0 for t in terms] for toks in token_sets])
         assert ds.features.dtype == np.float64
         np.testing.assert_array_equal(ds.features, want.reshape(n_docs, len(terms)))
+
+
+class TestTermCorpus:
+    def test_ids_in_order_of_first_appearance_and_sorted_per_document(self):
+        corpus = TermCorpus.from_documents([["bb", "aa", "bb"], [], ["cc", "aa"]])
+        assert corpus.terms == ("bb", "aa", "cc")
+        assert len(corpus) == 3 and corpus.ids.dtype == np.int32
+        assert [doc.tolist() for doc in corpus] == [[0, 1], [], [1, 2]]
+
+    def test_slices_share_the_term_table(self):
+        corpus = TermCorpus.from_documents([["bb", "aa"], ["cc"], ["aa", "dd"]])
+        tail = corpus[1:]
+        assert tail.terms == corpus.terms
+        assert [doc.tolist() for doc in tail] == [[2], [1, 3]]
+        assert [doc.tolist() for doc in corpus[:1]] == [[0, 1]]
+        assert len(corpus[:0]) == 0 and len(corpus[5:]) == 0 and len(corpus[2:1]) == 0
+        with pytest.raises(ValueError, match="consecutive"):
+            corpus[::2]
+
+    def test_one_label_per_document(self):
+        corpus = TermCorpus.from_documents([["aa"], ["bb"], ["aa"]])
+        with pytest.raises(ValueError, match="2 labels for 3 documents"):
+            information_gain_select(corpus, [M, L], 5)
+        with pytest.raises(ValueError, match="4 labels for 3 documents"):
+            vectorize_corpus(corpus, [M, L, M, L], Vocabulary(terms=("aa",), gains=(1.0,)))
+
+    def test_ranks_only_terms_of_its_documents(self):
+        # a term of a later document (a testing document, in the CLI's split) is not ranked
+        corpus = TermCorpus.from_documents([["aa", "bb"], ["bb"], ["zz"]])
+        with pytest.warns(UserWarning, match="the 2 distinct terms"):
+            vocab = information_gain_select(corpus[:2], [M, L], 5)
+        assert sorted(vocab.terms) == ["aa", "bb"]
+
+
+class TestVectorizeRowBlocks:
+    @pytest.mark.parametrize("extra", [-1, 0, 1, ingestion._VECTORIZE_ROWS + 1])
+    def test_matches_dense_reference_around_a_block(self, extra):
+        n_docs = ingestion._VECTORIZE_ROWS + extra
+        rng = np.random.default_rng(n_docs)
+        words = [f"w{i}" for i in range(16)]
+        terms = tuple(rng.permutation(words)[:9].tolist())
+        vocab = Vocabulary(terms=terms, gains=tuple(1.0 / (i + 1) for i in range(len(terms))))
+        token_sets = [[w for w in words if rng.random() < 0.3] for _ in range(n_docs)]
+        labels = [M if rng.random() < 0.5 else L for _ in range(n_docs)]
+        ds = vectorize_corpus(_corpus(token_sets), labels, vocab)
+        want = np.array([[1.0 if t in toks else 0.0 for t in terms] for toks in token_sets])
+        np.testing.assert_array_equal(ds.features, want)
+        np.testing.assert_array_equal(ds.label_codes, [1 if lab is M else 0 for lab in labels])
 
 
 class TestPayloadHistogram:
@@ -443,13 +508,50 @@ class TestEmailPathGolden:
         return index
 
     def test_vocabulary_and_matrix_pinned(self, tmp_path):
-        token_sets, labels, skipped = tokenize_emails(self._write_corpus(tmp_path))
-        assert skipped == 0 and len(token_sets) == 300
-        vocab = information_gain_select(token_sets, labels, 200)
-        ds = vectorize_corpus(token_sets, labels, vocab)
+        corpus, labels, skipped = tokenize_emails(self._write_corpus(tmp_path))
+        assert skipped == 0 and len(corpus) == 300
+        vocab = information_gain_select(corpus, labels, 200)
+        ds = vectorize_corpus(corpus, labels, vocab)
         vocab_text = "\n".join(f"{t} {float(g)!r}" for t, g in zip(vocab.terms, vocab.gains))
         matrix = hashlib.sha256(repr(ds.features.shape).encode())
         matrix.update(ds.features.astype("<f8").tobytes())
         matrix.update(ds.label_codes.tobytes())
         assert hashlib.sha256(vocab_text.encode()).hexdigest() == self.VOCAB_SHA256
         assert matrix.hexdigest() == self.MATRIX_SHA256
+
+    # tokenizes the corpus at argv[1] and prints its term ids, vocabulary and matrix fingerprints
+    _FINGERPRINT = """
+import hashlib, json, sys
+from clfsec.ingestion import information_gain_select, tokenize_emails, vectorize_corpus
+corpus, labels, _ = tokenize_emails(sys.argv[1])
+vocab = information_gain_select(corpus, labels, 200)
+ds = vectorize_corpus(corpus, labels, vocab)
+matrix = hashlib.sha256(repr(ds.features.shape).encode())
+matrix.update(ds.features.astype("<f8").tobytes())
+matrix.update(ds.label_codes.tobytes())
+ids = hashlib.sha256(corpus.ids.astype("<i4").tobytes() + corpus.offsets.astype("<i8").tobytes())
+vocab_text = "\\n".join(f"{t} {float(g)!r}" for t, g in zip(vocab.terms, vocab.gains))
+print(json.dumps({
+    "terms": corpus.terms,
+    "ids": ids.hexdigest(),
+    "vocab": hashlib.sha256(vocab_text.encode()).hexdigest(),
+    "matrix": matrix.hexdigest(),
+}))
+"""
+
+    def test_independent_of_the_hash_seed(self, tmp_path):
+        # frozenset iteration order changes with the hash seed, so term ids must not be taken from it
+        import clfsec
+
+        index = self._write_corpus(tmp_path)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(clfsec.__file__).parent.parent), env.get("PYTHONPATH")]))
+        runs = []
+        for hash_seed in ("0", "4242"):
+            done = subprocess.run(
+                [sys.executable, "-c", self._FINGERPRINT, str(index)],
+                env=dict(env, PYTHONHASHSEED=hash_seed), capture_output=True, text=True, check=True,
+            )
+            runs.append(json.loads(done.stdout))
+        assert runs[0] == runs[1]
+        assert runs[0]["vocab"] == self.VOCAB_SHA256 and runs[0]["matrix"] == self.MATRIX_SHA256

@@ -268,8 +268,9 @@ def build_spoof_pool(
 class AttackGenerator:
     """Replaces the malicious samples of one phase with attacked ones.
 
-    ``pool(d_ts, model, strength, rng)`` returns one attacked sample per
-    malicious sample of the testing fold ``d_ts``.  ``reads_model`` names
+    ``pool(test, model, strength, rng)`` returns one attacked sample per
+    malicious sample of the testing fold, whose label slices
+    (:meth:`.Dataset.label_slices`) are ``test``.  ``reads_model`` names
     the classifier families whose parameters it reads (k.iv); it is empty
     when the generator reads none.  A ``strength_invariant`` generator
     builds the same pool at every strength and reads no model, so a sweep
@@ -277,7 +278,7 @@ class AttackGenerator:
     """
 
     phase: str
-    pool: Callable[[Dataset, Any, float, np.random.Generator], Dataset]
+    pool: Callable[[Mapping[Label, Dataset], Any, float, np.random.Generator], Dataset]
     reads_model: tuple[str, ...] = ()
     noop_at_zero: bool = False  # leaves samples unchanged at strength 0
     strength_invariant: bool = False
@@ -285,16 +286,16 @@ class AttackGenerator:
 
 # The pool functions look gwi_bwo_pool and build_spoof_pool up when they run,
 # so a wrapper installed on this module's attribute sees every call.
-def _gwi_bwo(d_ts: Dataset, model, strength: float, rng) -> Dataset:
-    return gwi_bwo_pool(d_ts.restrict(label=Label.MALICIOUS), model, int(round(strength)))
+def _gwi_bwo(test: Mapping[Label, Dataset], model, strength: float, rng) -> Dataset:
+    return gwi_bwo_pool(test[Label.MALICIOUS], model, int(round(strength)))
 
 
-def _spoof(trait: Trait, d_ts: Dataset, model, strength: float, rng: np.random.Generator) -> Dataset:
-    return build_spoof_pool(d_ts.restrict(label=Label.MALICIOUS), d_ts.restrict(label=Label.LEGITIMATE), trait, rng)
+def _spoof(trait: Trait, test: Mapping[Label, Dataset], model, strength: float, rng: np.random.Generator) -> Dataset:
+    return build_spoof_pool(test[Label.MALICIOUS], test[Label.LEGITIMATE], trait, rng)
 
 
-def _poison(d_ts: Dataset, model, strength: float, rng) -> Dataset:
-    pool = d_ts.restrict(label=Label.MALICIOUS)
+def _poison(test: Mapping[Label, Dataset], model, strength: float, rng) -> Dataset:
+    pool = test[Label.MALICIOUS]
     return Dataset(pool.features, pool.label_codes, np.ones(len(pool), dtype=np.uint8))
 
 
@@ -390,7 +391,7 @@ def sweep_problems(scenario: AttackScenario, strengths: Sequence[float], family:
 def build_scenario_pools(
     scenario: AttackScenario,
     phase: str,
-    d_ts: Dataset,
+    test: Mapping[Label, Dataset],
     model,
     strength: float,
     seed: int,
@@ -398,10 +399,11 @@ def build_scenario_pools(
     """The attacked pools of one phase at this strength, by label.
 
     The generator's own phase has one while its malicious fraction is
-    positive: the malicious pool the generator builds from the testing
-    fold ``d_ts`` with the phase's substream ``derive_rng(seed, "pools",
-    phase)``.  Raises ``ValueError("capability violation: ...")`` when the
-    strategy manipulates samples the capability does not control.
+    positive: the malicious pool the generator builds from ``test``, the
+    testing fold's label slices (:meth:`.Dataset.label_slices`), with the
+    phase's substream ``derive_rng(seed, "pools", phase)``.  Raises
+    ``ValueError("capability violation: ...")`` when the strategy
+    manipulates samples the capability does not control.
     """
     generator = GENERATORS[scenario.strategy.generator]
     fraction = scenario.attacked_fraction(phase, Label.MALICIOUS, strength)
@@ -413,7 +415,7 @@ def build_scenario_pools(
             f"capability violation: strategy attacks {fraction:g} of "
             f"{Label.MALICIOUS.value} {phase} samples but capability allows {allowed:g}"
         )
-    return {Label.MALICIOUS: generator.pool(d_ts, model, strength, derive_rng(seed, "pools", phase))}
+    return {Label.MALICIOUS: generator.pool(test, model, strength, derive_rng(seed, "pools", phase))}
 
 
 def scenario_distribution_specs(

@@ -158,10 +158,11 @@ def _smo_pair_loop(
     objective along the (i, j) direction, which avoids the slow zigzag of
     plain maximal-violating-pair selection on ill-conditioned kernels.
 
-    ``columns[i]`` is column i of Q, from a precomputed matrix or a
-    :class:`_ColumnCache`.  ``grad`` holds the current gradient Qa + p and is
-    updated in place, as is ``alpha``.  Returns the maximal-violating-pair
-    gap at exit, which is <= eps unless the update budget ran out first.
+    ``columns[i]`` is column i of Q, which a :class:`_ColumnCache` computes
+    when it is first read (a matrix that holds all of Q also works).
+    ``grad`` holds the current gradient Qa + p and is updated in place, as
+    is ``alpha``.  Returns the maximal-violating-pair gap at exit, which is
+    <= eps unless the update budget ran out first.
     """
     gap = np.inf
     for _ in range(max_iter):
@@ -238,13 +239,31 @@ def train_linear_svm(
 
 
 def _best_bias(X: np.ndarray, y: np.ndarray, w: np.ndarray, c_param: float) -> float:
-    """Bias minimizing the primal hinge sum for fixed w (piecewise linear)."""
+    """Bias minimizing the primal hinge sum for fixed w (piecewise linear).
+
+    The breakpoint b_k = y_k - margin_k whose computed hinge sum is least,
+    the first in sample order among equal sums.  Only the breakpoints near
+    the exact minimum have their sums computed: the sum's slope right of b
+    is the integer #{k: b_k <= b} - #positives, so it is least from the
+    #positives-th to the next sorted breakpoint, and rises at least 1 per
+    unit of b away from there.  A computed sum errs by at most (n + 2)
+    eps/2 * ``scale``, and rounding the breakpoints moves the exact sums by
+    at most eps/2 * ``scale``, so a breakpoint farther out than ``reach``
+    cannot have the least computed sum.
+    """
     margins = X @ w
     breakpoints = y - margins
+    n = len(y)
+    n_pos = int(np.count_nonzero(y > 0))
+    sorted_b = np.sort(breakpoints)
+    lo, hi = sorted_b[max(n_pos - 1, 0)], sorted_b[min(n_pos, n - 1)]
+    scale = n * (1.0 + float(np.abs(breakpoints).max())) + float(np.abs(margins).sum())
+    reach = 2.0 * (n + 3) * np.finfo(np.float64).eps * scale  # twice what the bounds allow
+    near = np.flatnonzero((breakpoints >= lo - reach) & (breakpoints <= hi + reach))
     losses = [
-        float(np.maximum(0.0, 1.0 - y * (margins + b)).sum()) for b in breakpoints
+        float(np.maximum(0.0, 1.0 - y * (margins + b)).sum()) for b in breakpoints[near]
     ]
-    return float(breakpoints[int(np.argmin(losses))])
+    return float(breakpoints[near[int(np.argmin(losses))]])
 
 
 # ---------------------------------------------------------------------------
@@ -313,33 +332,36 @@ def train_logistic_regression(
 # ---------------------------------------------------------------------------
 
 
-# element cap on the (rows, m, d) difference temporary of one kernel block
-_KERNEL_BLOCK_ELEMENTS = 1 << 20
-# largest training set whose full Gram matrix is precomputed (128 MB)
-_GRAM_MAX_ROWS = 4096
+# element cap on the (rows, cols, d) difference temporary of one kernel block:
+# 256 KB, which the allocator reuses from block to block and call to call,
+# where a buffer of megabytes left heap holes that moved the peak RSS
+_KERNEL_BLOCK_ELEMENTS = 1 << 15
 
 
 def _rbf_blocks(u: np.ndarray, v: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma ||u_i - v_j||^2) for all row pairs, built in row blocks of u.
+    """exp(-gamma ||u_i - v_j||^2) for all row pairs, built in blocks of u and v rows.
 
     Every entry is the plain broadcast formula: the squared differences are
     summed along the contiguous feature axis, which numpy reduces for each
     output entry on its own, so the result is bit-identical to building the
     whole (n, m, d) difference tensor at once.  The only allocations are the
     (n, m) result and one block buffer of at most _KERNEL_BLOCK_ELEMENTS
-    (one row when m * d alone exceeds it), reused for every block.
+    (one row of u, and v in row blocks, when m * d alone exceeds it; one
+    pair when d does), reused for every block.
     """
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    n = u.shape[0]
-    out = np.empty((n, v.shape[0]))
-    rows = max(1, min(n, _KERNEL_BLOCK_ELEMENTS // max(1, v.size)))
-    buf = np.empty((rows,) + v.shape)
+    n, (m, d) = u.shape[0], v.shape
+    out = np.empty((n, m))
+    cols = max(1, min(m, _KERNEL_BLOCK_ELEMENTS // max(1, d)))
+    rows = max(1, min(n, _KERNEL_BLOCK_ELEMENTS // max(1, cols * d)))
+    buf = np.empty((rows, cols, d))
     for lo in range(0, n, rows):
-        diff = buf[: min(rows, n - lo)]
-        np.subtract(u[lo : lo + rows, None, :], v, out=diff)
-        np.square(diff, out=diff)
-        diff.sum(axis=2, out=out[lo : lo + rows])
+        for at in range(0, m, cols):
+            diff = buf[: min(rows, n - lo), : min(cols, m - at)]
+            np.subtract(u[lo : lo + rows, None, :], v[at : at + cols], out=diff)
+            np.square(diff, out=diff)
+            diff.sum(axis=2, out=out[lo : lo + rows, at : at + cols])
     out *= -gamma
     return np.exp(out, out=out)
 
@@ -369,10 +391,9 @@ def train_one_class_svm(
     X = train.features
     upper = 1.0 / (nu * n)
 
-    if n <= _GRAM_MAX_ROWS:
-        columns = rbf_kernel(X, X, gamma)
-    else:
-        columns = _ColumnCache(lambda i: _rbf_blocks(X[i], X, gamma)[0], n)
+    # SMO reads a few hundred of the n kernel columns: each is computed when
+    # first read, as row i of rbf_kernel(X, X), bit for bit
+    columns = _ColumnCache(lambda i: rbf_kernel(X[i], X, gamma)[0], n)
     diag = np.ones(n)
     ones = np.ones(n)
 

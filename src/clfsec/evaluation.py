@@ -427,26 +427,30 @@ def _evaluate_item(
     pools_seed = derive_subseed(seed, "fold", fi, "rep", rep, "pools")
     train_seed = derive_subseed(seed, "fold", fi, "rep", rep, "train")
     invariant = GENERATORS[scenario.strategy.generator].strength_invariant
-    test_clean, test_attacked = None, {}  # the testing phase's slices and pools, kept across strengths
+    test_clean, test_attacked = None, {}  # the testing fold's slices and pools, kept across strengths
+
+    def testing_slices():
+        nonlocal test_clean
+        if test_clean is None:
+            test_clean = d_ts.label_slices()
+        return test_clean
 
     def training_set(s: float) -> Dataset:
         if scenario.untouched("train", s, d_tr):
             return d_tr
-        attacked = build_scenario_pools(scenario, "train", d_ts, None, s, pools_seed)
+        attacked = build_scenario_pools(scenario, "train", testing_slices(), None, s, pools_seed)
         spec, n = scenario_distribution_specs(scenario, "train", s, d_tr.label_slices(), attacked)
         return sample_dataset(spec, n, tr_seed).gather()
 
     def testing_draw(s: float, model):
         """The testing draw at this strength, or None when the fold is tested as it is."""
-        nonlocal test_clean, test_attacked
+        nonlocal test_attacked
         if scenario.untouched("test", s, d_ts):
             return None
-        attacked = test_attacked or build_scenario_pools(scenario, "test", d_ts, model, s, pools_seed)
+        attacked = test_attacked or build_scenario_pools(scenario, "test", testing_slices(), model, s, pools_seed)
         if invariant:
             test_attacked = attacked  # an empty one is built again at the next strength
-        if test_clean is None:
-            test_clean = d_ts.label_slices()
-        spec, n = scenario_distribution_specs(scenario, "test", s, test_clean, attacked)
+        spec, n = scenario_distribution_specs(scenario, "test", s, testing_slices(), attacked)
         return sample_dataset(spec, n, ts_seed)
 
     def train(tr: Dataset):

@@ -8,10 +8,14 @@ reference flips one feature vector's words one at a time, the
 information-gain reference scores every term on its own with a per-term
 loop, the FAR-at-GAR and partial-AUC references walk the ROC point by
 point, and the sampler replay redraws a set sample by sample from the
-sampler's two substreams.  The sweep referee is the exception: it calls
-the generators' pool functions, the sampler, the trainers, the scorer
-and the ROC, each of which has its own tests, and restates in plain code
-everything the sweep orchestrates.
+sampler's two substreams.  Three referees are exceptions.  The sweep
+referee calls the generators' pool functions, the sampler, the trainers,
+the scorer and the ROC, each of which has its own tests, and restates in
+plain code everything the sweep orchestrates.  The one-class kernel
+matrix referee runs the library's SMO pair loop, which the QP oracle
+checks, on the whole kernel matrix, so that the trainer's kernel columns
+can be checked bit for bit.  The hinge-bias referee is the linear SVM's
+bias search as it was first written, a loss at every breakpoint.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 import numpy as np
 
 from clfsec.attacks import GENERATORS
-from clfsec.classifiers import decision_scores, train_classifier
+from clfsec.classifiers import _smo_pair_loop, decision_scores, rbf_kernel, train_classifier
 from clfsec.data_model import AttackFlag, Dataset, DistributionSpec, Label, sample_dataset
 from clfsec.evaluation import Auc10, auc10, far_at_gar, roc
 from clfsec.rng import derive_rng, derive_subseed
@@ -114,6 +118,41 @@ def one_class_dual_oracle(K: np.ndarray, nu: float) -> tuple[np.ndarray, float]:
     x0 = np.full(n, 1.0 / n)
     alpha, f = qp_box_equality(K, np.zeros(n), 0.0, upper, np.ones(n), 1.0, x0)
     return alpha, f
+
+
+def one_class_kernel_matrix_reference(X: np.ndarray, nu: float, gamma: float, tolerance: float = 1e-6):
+    """``(alpha, rho)`` of ``train_one_class_svm``'s start, pair loop and offset rule on all of ``rbf_kernel(X, X)``."""
+    n = len(X)
+    K = rbf_kernel(X, X, gamma)
+    upper = 1.0 / (nu * n)
+    alpha = np.zeros(n)
+    full = int(nu * n)
+    alpha[:full] = upper
+    if full < n:
+        alpha[full] = 1.0 - full * upper
+    grad = np.zeros(n)
+    for i in np.flatnonzero(alpha > 0):
+        grad += alpha[i] * K[i]
+    eps = min(tolerance, 1e-6)
+    gap = _smo_pair_loop(grad, alpha, upper, np.ones(n), K, np.ones(n), eps, max_iter=400 * max(n, 500))
+    assert gap <= eps
+    at_upper, at_zero = alpha >= upper * (1 - 1e-12), alpha <= 1e-12 * upper
+    free = ~at_upper & ~at_zero
+    if free.any():
+        return alpha, float(grad[free].mean())
+    lo = grad[at_upper].max() if at_upper.any() else -np.inf
+    hi = grad[at_zero].min() if at_zero.any() else np.inf
+    if np.isfinite(lo) and np.isfinite(hi):
+        return alpha, float((lo + hi) / 2.0)
+    return alpha, float(lo) if np.isfinite(lo) else float(hi)
+
+
+def hinge_bias_reference(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
+    """The breakpoint y_k - x_k.w with the least computed hinge sum, the first in sample order."""
+    margins = X @ w
+    breakpoints = y - margins
+    losses = [float(np.maximum(0.0, 1.0 - y * (margins + b)).sum()) for b in breakpoints]
+    return float(breakpoints[int(np.argmin(losses))])
 
 
 def svm_kkt_residual(X: np.ndarray, y: np.ndarray, alpha: np.ndarray, w: np.ndarray, b: float, c: float) -> float:
@@ -315,7 +354,7 @@ def security_sweep_reference(folds, scenario, classifier_config, strengths, metr
             return Dataset(src.features.copy(), src.label_codes.copy(), src.flag_codes.copy())
         attacked = {}
         if phase == generator.phase and fractions[Label.MALICIOUS] > 0.0:
-            attacked[Label.MALICIOUS] = generator.pool(d_ts, model, s, derive_rng(pools_seed, "pools", phase))
+            attacked[Label.MALICIOUS] = generator.pool(d_ts.label_slices(), model, s, derive_rng(pools_seed, "pools", phase))
         n = len(src)
         if prior is None:
             prior = empirical

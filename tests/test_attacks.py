@@ -220,7 +220,7 @@ class TestPoisoning:
 
     def _train_spec(self, d_tr, d_ts, p):
         scen = canned_scenario("ids_poison")
-        pools = build_scenario_pools(scen, "train", d_ts, None, p, 0)
+        pools = build_scenario_pools(scen, "train", d_ts.label_slices(), None, p, 0)
         spec, _ = scenario_distribution_specs(scen, "train", p, d_tr.label_slices(), pools)
         return spec
 
@@ -366,12 +366,12 @@ class TestGenerators:
         assert check_scenario_consistency(scen) == []
         d_ts = Dataset.from_arrays((rng.random((20, 6)) < 0.5).astype(float), [L] * 12 + [M] * 8)
         m = LinearModel(rng.normal(size=6), 0.0) if generator.reads_model else None
-        pools = build_scenario_pools(scen, generator.phase, d_ts, m, 2, 0)
+        pools = build_scenario_pools(scen, generator.phase, d_ts.label_slices(), m, 2, 0)
         assert list(pools) == [M]
         assert len(pools[M]) == 8
         assert np.all(pools[M].label_codes == 1) and np.all(pools[M].flag_codes == 1)
         other = "train" if generator.phase == "test" else "test"
-        assert build_scenario_pools(scen, other, d_ts, m, 2, 0) == {}
+        assert build_scenario_pools(scen, other, d_ts.label_slices(), m, 2, 0) == {}
 
 
     @pytest.mark.parametrize("name", [name for name in sorted(GENERATORS) if GENERATORS[name].strength_invariant])
@@ -379,9 +379,9 @@ class TestGenerators:
         generator = GENERATORS[name]
         assert generator.reads_model == ()  # so the pool does not change when the model is retrained
         d_ts = Dataset.from_arrays(rng.random((20, 2)), [L] * 12 + [M] * 8)
-        first = generator.pool(d_ts, None, 0.25, derive_rng(3, "pools", generator.phase))
+        first = generator.pool(d_ts.label_slices(), None, 0.25, derive_rng(3, "pools", generator.phase))
         for strength in (0.5, 1.0):
-            assert generator.pool(d_ts, None, strength, derive_rng(3, "pools", generator.phase)) == first
+            assert generator.pool(d_ts.label_slices(), None, strength, derive_rng(3, "pools", generator.phase)) == first
 
 
 class TestScenarioPools:
@@ -399,7 +399,7 @@ class TestScenarioPools:
         scen = canned_scenario("spam_gwi_bwo", [0, 6])
         m = LinearModel(rng.normal(size=6), 0.0)
         assert scen.untouched("train", 2, d_tr)
-        train_pools = build_scenario_pools(scen, "train", d_ts, m, 2, 0)
+        train_pools = build_scenario_pools(scen, "train", d_ts.label_slices(), m, 2, 0)
         assert train_pools == {}
         # a training spec built anyway holds only the clean slices of the fold
         spec, n = scenario_distribution_specs(scen, "train", 2, d_tr.label_slices(), train_pools)
@@ -407,7 +407,7 @@ class TestScenarioPools:
         assert spec.components[(L, AttackFlag.CLEAN)] == d_tr.restrict(label=L)
         assert spec.components[(M, AttackFlag.CLEAN)] == d_tr.restrict(label=M)
         assert spec.attack_prob == {L: 0.0, M: 0.0} and n == len(d_tr)
-        test_pools = build_scenario_pools(scen, "test", d_ts, m, 2, 0)
+        test_pools = build_scenario_pools(scen, "test", d_ts.label_slices(), m, 2, 0)
         assert list(test_pools) == [M] and len(test_pools[M]) == 10
 
     def test_causative_pool_equals_malicious_test_pool(self, rng):
@@ -416,7 +416,7 @@ class TestScenarioPools:
         d_ts = Dataset.from_arrays(
             np.vstack([rng.normal(size=(10, 2)), mal]), [L] * 10 + [M] * 3
         )
-        pools = build_scenario_pools(canned_scenario("ids_poison"), "train", d_ts, None, 0.3, 0)
+        pools = build_scenario_pools(canned_scenario("ids_poison"), "train", d_ts.label_slices(), None, 0.3, 0)
         got = pools[M]
         assert len(got) == 3
         np.testing.assert_array_equal(got.features, mal)
@@ -424,7 +424,7 @@ class TestScenarioPools:
     def test_no_attack_means_empty_attacked_pools(self, rng):
         d_tr, d_ts = self._sets(rng)
         scen = canned_scenario("bio_spoof_face")
-        pools = build_scenario_pools(scen, "test", d_ts, None, 0.0, 0)
+        pools = build_scenario_pools(scen, "test", d_ts.label_slices(), None, 0.0, 0)
         # fraction resolves to 0 at strength 0: generator output is not kept
         assert pools == {}
         assert scen.untouched("test", 0.0, d_ts)
@@ -449,4 +449,4 @@ class TestScenarioPools:
         )
         m = LinearModel(rng.normal(size=6), 0.0)
         with pytest.raises(ValueError, match="capability violation"):
-            build_scenario_pools(over, "test", d_ts, m, 1, 0)
+            build_scenario_pools(over, "test", d_ts.label_slices(), m, 1, 0)

@@ -25,7 +25,9 @@ from clfsec.evaluation import roc
 from clfsec.special import digamma
 
 from oracles import (
+    hinge_bias_reference,
     one_class_dual_oracle,
+    one_class_kernel_matrix_reference,
     one_class_kkt_residual,
     svm_dual_oracle,
     svm_kkt_residual,
@@ -82,6 +84,36 @@ class TestLinearSvm:
             primal = 0.5 * w @ w + 2.0 * np.maximum(0, 1 - y * (X @ w + model.bias)).sum()
             assert dual <= primal + 1e-10
             assert primal - dual <= 1e-8 * (1 + abs(primal))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([-1.0, 1.0]),
+                st.one_of(
+                    st.integers(-4, 4).map(lambda k: (False, k / 2.0)),  # many equal breakpoints and sums
+                    st.integers(-200, 200).map(lambda k: (True, k * 2.0**-56)),  # on the margin, to the last bits
+                    st.floats(-1e3, 1e3, allow_nan=False).map(lambda v: (False, v)),
+                ),
+            ),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    def test_best_bias_matches_referee(self, cells):
+        y = np.array([c[0] for c in cells])
+        # a sample on the margin has y (x.w + b) = 1 for b = 0.3, up to the offset
+        margins = np.array([yk - 0.3 + v if on_margin else v for yk, (on_margin, v) in cells])
+        X = np.column_stack([margins * 0.5, margins * 0.5])
+        w = np.ones(2)
+        assert classifiers._best_bias(X, y, w, 1.0) == hinge_bias_reference(X, y, w)
+
+    def test_best_bias_matches_referee_on_trained_models(self, rng):
+        for n, d in ((40, 3), (300, 20)):
+            X, y = random_instance(rng, n, d)
+            model, alpha = train_linear_svm(two_class(X, y), 1.0, with_dual=True)
+            w = X.T @ (alpha * y)
+            assert classifiers._best_bias(X, y, w, 1.0) == hinge_bias_reference(X, y, w)
+            assert model.bias == hinge_bias_reference(X, y, w)
 
     def test_single_class_rejected(self):
         ds = Dataset.from_arrays(np.eye(3), [L, L, L])
@@ -204,17 +236,49 @@ class TestRbfKernel:
         "n, m, d, rows",
         [
             (11, 250, 1000, 4),  # last block partial
-            (3, 1100, 1000, 1),  # m * d above the block budget
+            (3, 1100, 1000, 1),  # m * d above the block budget: v in blocks, the last partial
             (1, 50, 7, 1),  # single row
         ],
     )
-    def test_bit_identical_to_broadcast(self, rng, n, m, d, rows):
+    def test_bit_identical_to_broadcast(self, rng, monkeypatch, n, m, d, rows):
+        # the shapes are sized for a budget of 2^20 elements
+        monkeypatch.setattr(classifiers, "_KERNEL_BLOCK_ELEMENTS", 1 << 20)
         assert max(1, min(n, classifiers._KERNEL_BLOCK_ELEMENTS // (m * d))) == rows
         U = rng.normal(size=(n, d)) * 3.0
         V = rng.normal(size=(m, d))
         for gamma in (0.5, 1e-3):
             assert np.array_equal(rbf_kernel(U, V, gamma), broadcast_rbf(U, V, gamma))
         assert np.array_equal(rbf_kernel(U[0], V, 0.5), broadcast_rbf(U[0], V, 0.5))
+
+    @pytest.mark.parametrize(
+        "n, m, d",
+        [
+            (1, 800, 256),  # a one-class column: one row of u against v in blocks of 128
+            (400, 124, 256),  # scoring: blocks of one row of u against all of v
+            (37, 60, 9),  # blocks of several rows of u, the last partial
+            (2, 3, 40_000),  # d above the budget: one pair per block
+        ],
+    )
+    def test_bit_identical_to_broadcast_at_the_block_budget(self, rng, n, m, d):
+        U = rng.normal(size=(n, d)) * 3.0
+        V = rng.normal(size=(m, d))
+        gamma = 1.0 / d
+        assert np.array_equal(rbf_kernel(U, V, gamma), broadcast_rbf(U, V, gamma))
+        assert np.array_equal(rbf_kernel(U[-1], V, gamma), broadcast_rbf(U[-1], V, gamma))
+
+    def test_column_temporary_within_the_block_budget(self, rng):
+        # a one-class column of 5,000 rows of 256 features: the difference
+        # block stays at the budget, not the 10 MB of all m * d differences
+        # (the slack is for numpy's own iteration buffers)
+        X = rng.normal(size=(5000, 256))
+        tracemalloc.start()
+        try:
+            col = rbf_kernel(X[7], X, 0.01)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert col[7] == 1.0
+        assert peak < col.nbytes + 8 * classifiers._KERNEL_BLOCK_ELEMENTS + 128 * 1024
 
     def test_kernel_sum_bit_identical(self, rng):
         sv = rng.normal(size=(300, 1000))
@@ -225,19 +289,34 @@ class TestRbfKernel:
         x = rng.normal(size=(9, 1000))
         assert np.array_equal(model.kernel_sum(x), broadcast_rbf(x, sv, 1e-3) @ model.dual_coefficients)
 
-    def test_lazy_column_matches_gram_row(self, rng, monkeypatch):
+    def test_lazy_column_matches_gram_row(self, rng):
         X = rng.normal(size=(60, 5))
         gram = rbf_kernel(X, X, 0.5)
         for i in (0, 31, 59):
-            col = classifiers._rbf_blocks(X[i], X, 0.5)[0]
+            col = rbf_kernel(X[i], X, 0.5)[0]
             assert np.array_equal(col, gram[i])
             assert np.array_equal(col, np.exp(-0.5 * ((X - X[i]) ** 2).sum(axis=1)))
-        ds = Dataset.from_arrays(X, [L] * 60)
-        full = train_one_class_svm(ds, nu=0.1, gamma=0.5)
-        monkeypatch.setattr(classifiers, "_GRAM_MAX_ROWS", 0)
-        lazy = train_one_class_svm(ds, nu=0.1, gamma=0.5)
-        assert np.array_equal(lazy.dual_coefficients, full.dual_coefficients)
-        assert lazy.offset == full.offset
+        # the trainer's columns give the model that SMO on the whole kernel matrix gives
+        for X, nu, gamma in ((X, 0.1, 0.5), (rng.dirichlet(np.ones(32), size=400), 0.05, 20.0)):
+            m = train_one_class_svm(Dataset.from_arrays(X, [L] * len(X)), nu=nu, gamma=gamma)
+            alpha, rho = one_class_kernel_matrix_reference(X, nu, gamma)
+            sv = alpha > 1e-12 / (nu * len(X))
+            assert np.array_equal(m.dual_coefficients, alpha[sv])
+            assert np.array_equal(m.support_vectors, X[sv])
+            assert m.offset == rho
+
+    def test_training_memory_well_below_the_kernel_matrix(self, rng):
+        n, d = 5000, 256
+        X = rng.dirichlet(np.ones(d), size=n)
+        ds = Dataset.from_arrays(X, [L] * n)
+        tracemalloc.start()
+        try:
+            m = train_one_class_svm(ds, nu=0.02, gamma=50.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.dual_coefficients.sum() == pytest.approx(1.0, abs=1e-9)
+        assert peak < n * n * 8 / 4
 
     def test_peak_memory_bounded(self, rng):
         X = rng.normal(size=(600, 128))

@@ -842,7 +842,7 @@ class TestTableOneInstantiation:
         model = train_linear_svm(d_tr, 1.0)
         # training untouched: p_tr = p_D
         assert scen.untouched("train", 10, d_tr)
-        pools = build_scenario_pools(scen, "test", d_ts, model, 10, 0)
+        pools = build_scenario_pools(scen, "test", d_ts.label_slices(), model, 10, 0)
         ts_spec, n = scenario_distribution_specs(scen, "test", 10, d_ts.label_slices(), pools)
         assert n == len(d_ts)
         # p_ts(Y) = p_D(Y); p_ts(A=T|L) = 0; p_ts(A=T|M) = 1
@@ -862,7 +862,7 @@ class TestTableOneInstantiation:
         folds = resample(table, Chronological(300), seed=1)
         d_tr, d_ts = folds.pairs[0]
         assert scen.untouched("train", 1.0, d_tr)  # p_tr = p_D
-        pools = build_scenario_pools(scen, "test", d_ts, None, 1.0, 0)
+        pools = build_scenario_pools(scen, "test", d_ts.label_slices(), None, 1.0, 0)
         ts_spec, n = scenario_distribution_specs(scen, "test", 1.0, d_ts.label_slices(), pools)
         assert n == len(d_ts)
         assert ts_spec.prior_malicious == d_ts.empirical_prior_malicious()
@@ -877,7 +877,7 @@ class TestTableOneInstantiation:
         folds = resample(traffic, Chronological(100), seed=1)
         d_tr, d_ts = folds.pairs[0]
         assert scen.untouched("test", 0.4, d_ts)  # testing untouched: p_ts = p_D
-        pools = build_scenario_pools(scen, "train", d_ts, None, 0.4, 0)
+        pools = build_scenario_pools(scen, "train", d_ts.label_slices(), None, 0.4, 0)
         tr_spec, n = scenario_distribution_specs(scen, "train", 0.4, d_tr.label_slices(), pools)
         # the legitimate part keeps the fold's expected size: n (1 - p_max) = len(d_tr)
         assert n == round(len(d_tr) / 0.6)

@@ -377,6 +377,25 @@ class TestSecuritySweep:
         # the fold at strength 0; then the legitimate slice once, and each strength's attacked pool
         assert scored == [len(d_ts), len(d_ts) - n_m, n_m, n_m, n_m]
 
+    def test_gwi_bwo_attacks_one_malicious_slice_per_item(self, monkeypatch):
+        import clfsec.attacks as attacks
+
+        _, folds = self._spam()
+        sources = []
+        attack = attacks.gwi_bwo_pool
+
+        def recorded_attack(source, model, n_max):
+            sources.append(source)
+            return attack(source, model, n_max)
+
+        monkeypatch.setattr(attacks, "gwi_bwo_pool", recorded_attack)
+        scen = canned_scenario("spam_gwi_bwo", [0, 60])
+        security_sweep(folds, scen, ClassifierConfig("linear_svm", {"c": 1.0}), [0, 2, 4, 6], Auc10(), seed=5)
+        # one restricted copy of the malicious testing rows, not one per strength
+        assert len(sources) == 3
+        assert all(source is sources[0] for source in sources)
+        assert sources[0] == folds.pairs[0][1].restrict(M)
+
     @pytest.mark.parametrize(
         "name, strengths", [("ids_poison", [0, 0.5]), ("bio_spoof_fingerprint", [0, 1])]
     )

@@ -549,6 +549,16 @@ class ClassifierConfig:
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.family}({inner})"
 
+    @property
+    def reads_seed(self) -> bool:
+        """Whether training reads its seed, so that the model it trains on a set depends on the seed.
+
+        Logistic regression shuffles the samples each epoch, and a
+        ``linear_svm`` with a ``c_grid`` chooses C on seeded folds; any
+        other configuration trains the same model for every seed.
+        """
+        return self.family == "logistic_regression" or (self.family == "linear_svm" and "c_grid" in self.params)
+
 
 def train_classifier(config: ClassifierConfig, train: Dataset, seed: int = 0) -> TrainedModel:
     if config.family not in CLASSIFIER_PARAMS:

@@ -57,6 +57,9 @@ class Label(enum.Enum):
     LEGITIMATE = "L"
     MALICIOUS = "M"
 
+    # members are singletons: hashing by identity runs in C, not in Enum.__hash__
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, token: "Label | str") -> "Label":
         """The label ``token`` names (``L``/``M``, member names, ``ham``/``spam``, ``genuine``/``impostor``; any case)."""
@@ -71,6 +74,8 @@ class AttackFlag(enum.Enum):
 
     CLEAN = "F"
     ATTACKED = "T"
+
+    __hash__ = object.__hash__
 
 
 _LABEL_NAMES = {
@@ -112,7 +117,7 @@ class Dataset:
     sharing contract anyway).
     """
 
-    __slots__ = ("features", "label_codes", "flag_codes")
+    __slots__ = ("features", "label_codes", "flag_codes", "_code_span")
 
     def __init__(self, features: np.ndarray, label_codes: np.ndarray, flag_codes: np.ndarray):
         features = np.ascontiguousarray(np.asarray(features, dtype=np.float64))
@@ -128,6 +133,7 @@ class Dataset:
         self.features = features
         self.label_codes = label_codes
         self.flag_codes = flag_codes
+        self._code_span = None  # (least, greatest) label code, or () when empty; found on first use
 
     # -- constructors ------------------------------------------------------
 
@@ -177,6 +183,18 @@ class Dataset:
     def label_slices(self) -> dict[Label, "Dataset"]:
         """The rows of each label, in row order: the clean pools of an attacked distribution."""
         return {lab: self.restrict(lab) for lab in Label}
+
+    def _holds_only(self, label: Label) -> bool:
+        """Whether every row has ``label`` (an empty dataset does).
+
+        Answered from the least and greatest label code, found once: the
+        rows never change, so a pool drawn from many times is checked once.
+        """
+        if self._code_span is None:
+            codes = self.label_codes
+            self._code_span = (int(codes.min()), int(codes.max())) if len(codes) else ()
+        code = _LABEL_CODE[label]
+        return self._code_span in ((), (code, code))
 
     def class_counts(self) -> dict[Label, int]:
         return {lab: int(np.sum(self.label_codes == code)) for lab, code in _LABEL_CODE.items()}
@@ -291,7 +309,7 @@ def validate_spec(spec: DistributionSpec) -> list[str]:
         elif p_cell > 0.0 and len(pool) == 0:
             violations.append(f"empty pool for ({lab.value}, {flag.value}) with mass {p_cell:g}")
         # the cell sets the flag of what it draws, but the pool must hold the cell's label
-        if pool is not None and np.any(pool.label_codes != _LABEL_CODE[lab]):
+        if pool is not None and not pool._holds_only(lab):
             violations.append(f"pool for ({lab.value}, {flag.value}) holds rows of the other label")
     return violations
 
@@ -413,6 +431,40 @@ class Draw:
 _GATHER_VALUES = 1 << 18
 
 
+# The sampler's streams of the last two (seed, n) it drew with: the class and
+# flag uniforms, and the feature generator with its start state.  A sweep
+# item draws its testing set, and a drawn training set, at every strength
+# with one seed and size each, so its strengths share them (common random
+# numbers) and derive them once.  They are kept here, not passed in, so that
+# sample_dataset stays the one sampler the sweep and its referee call; every
+# call gets the streams a fresh derivation gives, whatever was drawn before.
+_STREAMS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.random.Generator, dict]] = {}
+_STREAMS_KEPT = 2
+
+
+def _streams(seed: int, n: int) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
+    """The first ``2 n`` uniforms of ``derive_rng(seed, "labels")``, halved, and ``derive_rng(seed, "features")``.
+
+    The feature generator is set back to its stream's start: it is the
+    same object for every call with this ``(seed, n)``, valid until the next.
+    """
+    key = (seed, n)
+    kept = _STREAMS.pop(key, None)
+    if kept is None:
+        while len(_STREAMS) >= _STREAMS_KEPT:
+            del _STREAMS[next(iter(_STREAMS))]  # the least recently used, before the new ones are drawn
+        label_rng = derive_rng(seed, "labels")
+        u_y, u_a = label_rng.random(n), label_rng.random(n)
+        u_y.setflags(write=False)
+        u_a.setflags(write=False)
+        feature_rng = derive_rng(seed, "features")
+        kept = (u_y, u_a, feature_rng, feature_rng.bit_generator.state)
+    else:
+        kept[2].bit_generator.state = kept[3]
+    _STREAMS[key] = kept
+    return kept[:3]
+
+
 def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> Draw:
     """Draw ``n`` samples from a distribution spec, i.i.d.
 
@@ -421,7 +473,9 @@ def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> Draw:
     drawn with replacement from its cell's pool, one batch per cell in a
     fixed cell order, so two specs that differ only in a cell's pool
     contents draw the same labels and flags, and pairwise-coupled rows
-    for the unchanged cells.  No feature is copied: :meth:`Draw.gather`
+    for the unchanged cells.  Calls with the same ``seed`` and ``n`` use
+    the same uniforms for the classes and flags, derived once while the
+    pair is one of the last two drawn with.  No feature is copied: :meth:`Draw.gather`
     gives the set as a :class:`Dataset`.
     """
     if n < 1:
@@ -430,12 +484,8 @@ def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> Draw:
     if violations:
         raise ValueError("invalid spec: " + "; ".join(violations))
 
-    label_rng = derive_rng(seed, "labels")
-    feature_rng = derive_rng(seed, "features")
-
-    u_y = label_rng.random(n)
+    u_y, u_a, feature_rng = _streams(seed, n)
     label_codes = (u_y < spec.prior_malicious).astype(np.uint8)
-    u_a = label_rng.random(n)
     p_att = np.where(
         label_codes == 1,
         spec.attack_prob.get(Label.MALICIOUS, 0.0),

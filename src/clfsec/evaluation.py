@@ -1,14 +1,18 @@
 """ROC metrics and security-evaluation sweeps.
 
 A security evaluation measures a classifier's performance metric as a
-function of attack strength, averaged over resampled (train, test) pairs.
-An item retrains only when its training set changes: an exploratory
-scenario leaves the training fold untouched, so each item trains once,
-while a causative one retrains at each strength whose attack changes the
-training set.  Whether a scenario can be swept at all, and what an attack
-does to a training or testing phase (left untouched, or its attacked
-pools, distribution spec and set size), are decided in :mod:`.attacks`;
-this module only draws the sets, trains and scores.
+function of attack strength, averaged over (fold, repetition) work items
+of resampled (train, test) pairs.  Each piece of work runs once, at the
+level it depends on.  A fold's repetitions share the model trained on
+the untouched training fold, unless training reads the item's seed, with
+its scores of the testing fold and of its label slices and its ROC where
+neither phase is attacked; an exploratory sweep of an unseeded family so
+trains once per fold.  An item's strengths share the sampler's streams.
+A strength whose attack changes the training set trains on its own
+draw.  Whether a scenario can be swept at all, and what an attack does
+to a training or testing phase (left untouched, or its attacked pools,
+distribution spec and set size), are decided in :mod:`.attacks`; this
+module only draws the sets, trains and scores.
 
 A sampled testing set is a draw over its pools (:class:`.data_model.Draw`)
 and is never gathered: a sampled row's score is its pool row's score.
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -47,7 +52,7 @@ from .classifiers import (
     train_classifier,
     train_linear_svm,
 )
-from .data_model import CrossValidation, Dataset, FoldSet, encode_labels, resample, sample_dataset
+from .data_model import CrossValidation, Dataset, FoldSet, Label, encode_labels, resample, sample_dataset
 from .rng import derive_subseed
 
 __all__ = [
@@ -94,33 +99,37 @@ def roc(scores, labels, weights=None) -> RocCurve:
     are nonnegative integer multiplicities: the curve is the one of the
     set that holds each row that many times, bit for bit (Fawcett 2006's
     tie-aware construction with counts), and a row of weight 0 is left
-    out.  On scores already in decreasing order, as the sweep passes a
-    sorted union of pools, the stable sort is a linear pass.
+    out.  Scores already in non-increasing order, as the sweep passes a
+    sorted union of pools, are taken as they are: a stable sort of them is
+    the identity, so the sort and the gathers it would need are skipped.
     """
     scores = np.asarray(scores, dtype=np.float64)
     codes = encode_labels(labels)
-    if weights is None:
-        counts = np.ones(len(codes), dtype=np.int64)
-    else:
-        counts = np.asarray(weights)
+    counts = None if weights is None else np.asarray(weights)
+    if counts is not None:
         if counts.shape != scores.shape or counts.dtype.kind not in "iu" or np.any(counts < 0):
             raise ValueError("weights must be one nonnegative integer per score")
         drawn = np.flatnonzero(counts > 0)
         scores, codes, counts = scores[drawn], codes[drawn], counts[drawn]
-    n_m = int(counts @ codes)
-    n_l = int(counts.sum()) - n_m
+    if not np.all(scores[1:] <= scores[:-1]):
+        order = np.argsort(-scores, kind="stable")
+        scores, codes = scores[order], codes[order]
+        counts = None if counts is None else counts[order]
+    # tie-block boundaries: last index of each run of equal scores (none without a score)
+    block_end = np.flatnonzero(np.concatenate((scores[1:] != scores[:-1], [len(scores) > 0])))
+    # the samples, and the malicious ones, up to the end of each tie block
+    if counts is None:
+        cum_n, cum_m = block_end + 1, np.cumsum(codes, dtype=np.int64)[block_end]
+    else:
+        cum_n, cum_m = np.cumsum(counts)[block_end], np.cumsum(counts * codes)[block_end]
+    n_m, n = (int(cum_m[-1]), int(cum_n[-1])) if len(block_end) else (0, 0)
+    n_l = n - n_m
     if n_m == 0 or n_l == 0:
         raise ValueError("ROC needs at least one sample of each class")
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    w = counts[order]
-    # tie-block boundaries: last index of each run of equal scores
-    block_end = np.flatnonzero(np.concatenate((s[1:] != s[:-1], [True])))
-    cum_m = np.cumsum(w * codes[order])[block_end]
-    cum_l = np.cumsum(w)[block_end] - cum_m
+    cum_l = cum_n - cum_m
     fp = np.concatenate(([0.0], cum_l / n_l))
     tp = np.concatenate(([0.0], cum_m / n_m))
-    thresholds = np.concatenate(([np.inf], s[block_end]))
+    thresholds = np.concatenate(([np.inf], scores[block_end]))
     return RocCurve(fp=fp, tp=tp, thresholds=thresholds)
 
 
@@ -373,13 +382,66 @@ class _Ranked(NamedTuple):
     labels: np.ndarray  # their label codes, in the same order
 
 
-def _rank(model, pools: tuple[Dataset, ...], last: _Ranked | None) -> _Ranked:
+class _Fold:
+    """One (training, testing) pair of the resampled design set, and what its work items share.
+
+    The sweep makes one per fold and drops it when the fold's last
+    repetition ends.  It holds the testing fold's label slices, built on
+    first use, and the model trained on the untouched training fold when
+    training reads no item seed (:attr:`.ClassifierConfig.reads_seed`).
+    """
+
+    def __init__(self, train: Dataset, test: Dataset):
+        self.train, self.test = train, test
+        self._slices: dict[Label, Dataset] | None = None
+        self.model: _Model | None = None
+
+    @property
+    def slices(self) -> dict[Label, Dataset]:
+        """The testing fold's label slices (:meth:`.Dataset.label_slices`)."""
+        if self._slices is None:
+            self._slices = self.test.label_slices()
+        return self._slices
+
+    def owns(self, pool: Dataset) -> bool:
+        """Whether ``pool`` is the testing fold or one of its label slices."""
+        return pool is self.test or (self._slices is not None and any(pool is s for s in self._slices.values()))
+
+
+class _Model:
+    """A trained classifier, with its scores of the testing fold's own pools and its ROC of the untouched fold.
+
+    Each of the fold's own pools (:meth:`_Fold.owns`) is scored once, as
+    a pool of its own: the scores of a slice taken from the fold's scores
+    can differ from it in the last bit.  ``untouched`` is the ROC and
+    metric value of the testing fold as it is, kept for the model trained
+    on the untouched training fold: the same at every strength that leaves
+    both phases untouched.
+    """
+
+    def __init__(self, trained):
+        self.trained = trained
+        self._kept: list[tuple[Dataset, np.ndarray]] = []
+        self.untouched: tuple[RocCurve, float] | None = None
+
+    def scores(self, pool: Dataset, keep: bool) -> np.ndarray:
+        """The model's scores of ``pool``; kept for the next call when ``keep``."""
+        for kept, scores in self._kept:
+            if kept is pool:
+                return scores
+        scores = decision_scores(self.trained, pool.features)
+        if keep:
+            self._kept.append((pool, scores))
+        return scores
+
+
+def _rank(fold: _Fold, model: _Model, pools: tuple[Dataset, ...], last: _Ranked | None) -> _Ranked:
     """Score and sort ``pools`` under ``model``; reuses ``last`` (same model) for the pools it holds."""
     if last is not None and len(last.pools) == len(pools) and all(a is b for a, b in zip(last.pools, pools)):
         return last
     # ids are safe keys: ``last`` keeps its pools alive
     known = {} if last is None else {id(p): sc for p, sc in zip(last.pools, last.pool_scores)}
-    pool_scores = tuple(known[id(p)] if id(p) in known else decision_scores(model, p.features) for p in pools)
+    pool_scores = tuple(known[id(p)] if id(p) in known else model.scores(p, fold.owns(p)) for p in pools)
     scores = np.concatenate(pool_scores)
     order = np.argsort(-scores, kind="stable")
     labels = np.concatenate([p.label_codes for p in pools])
@@ -387,7 +449,7 @@ def _rank(model, pools: tuple[Dataset, ...], last: _Ranked | None) -> _Ranked:
 
 
 def _evaluate_item(
-    folds: FoldSet,
+    fold: _Fold,
     scenario: AttackScenario,
     classifier_config: ClassifierConfig,
     strengths: Sequence[float],
@@ -408,74 +470,92 @@ def _evaluate_item(
     and the label slices of its resampled set, with the size the
     scenario's spec gives, and this function only draws it.
 
-    A training draw is gathered and trained on, and its pools are dropped
-    before training, as holding them would raise peak memory.  The model
-    is retrained only when the training set changes: the untouched fold
-    is the same set at every strength, while a draw is new, so an item of
-    an exploratory scenario trains once.  A testing draw is not gathered.
-    The testing fold's label slices, and its attacked pools when the
-    generator is strength-invariant, are built once per item; each pool
-    is scored once per model, the union of a draw's pools is sorted once
-    per model and set of pools, and the ROC weights each pool row by how
-    often the draw takes it.  When the generator's pool depends on the
-    strength, no reference to one strength's attacked pool is held while
-    the next strength's is built, so an item holds one at a time.
-    """
-    d_tr, d_ts = folds.pairs[fi]
-    tr_seed = derive_subseed(seed, "fold", fi, "rep", rep, "tr")
-    ts_seed = derive_subseed(seed, "fold", fi, "rep", rep, "ts")
-    pools_seed = derive_subseed(seed, "fold", fi, "rep", rep, "pools")
-    train_seed = derive_subseed(seed, "fold", fi, "rep", rep, "train")
-    invariant = GENERATORS[scenario.strategy.generator].strength_invariant
-    test_clean, test_attacked = None, {}  # the testing fold's slices and pools, kept across strengths
+    Each piece of work runs once, at the level it depends on:
 
-    def testing_slices():
-        nonlocal test_clean
-        if test_clean is None:
-            test_clean = d_ts.label_slices()
-        return test_clean
+    * per fold (:class:`_Fold`), shared by its repetitions: the testing
+      fold's label slices and, when training reads no item seed, the
+      model trained on the untouched training fold, its scores of the
+      testing fold and of each slice, and its ROC and metric where both
+      phases are untouched (:class:`_Model`);
+    * per item, shared by its strengths: a seeded family's model on the
+      untouched fold, kept across strengths that train on a draw; the
+      testing fold's attacked pools when the generator is
+      strength-invariant; and the sampler's streams and class and flag
+      uniforms, as every strength draws with the item's seeds
+      (:func:`.data_model.sample_dataset`);
+    * per strength: a training draw and its model, and the testing draw.
+
+    A training draw is gathered and trained on, and its pools are dropped
+    before training, as holding them would raise peak memory.  A testing
+    draw is not gathered: each pool is scored once per model, the union
+    of a draw's pools is sorted once per model and set of pools, and the
+    ROC weights each pool row by how often the draw takes it.  When the
+    generator's pool depends on the strength, no reference to one
+    strength's attacked pool is held while the next strength's is built,
+    so an item holds one at a time.
+    """
+    d_tr, d_ts = fold.train, fold.test
+
+    @cache
+    def item_seed(use: str) -> int:
+        """The item's seed for ``use``: ``"tr"``, ``"ts"``, ``"pools"`` or ``"train"`` (:mod:`.rng`)."""
+        return derive_subseed(seed, "fold", fi, "rep", rep, use)
+
+    invariant = GENERATORS[scenario.strategy.generator].strength_invariant
+    test_attacked = {}  # the testing fold's attacked pools, kept across strengths when invariant
 
     def training_set(s: float) -> Dataset:
         if scenario.untouched("train", s, d_tr):
             return d_tr
-        attacked = build_scenario_pools(scenario, "train", testing_slices(), None, s, pools_seed)
+        attacked = build_scenario_pools(scenario, "train", fold.slices, None, s, item_seed("pools"))
         spec, n = scenario_distribution_specs(scenario, "train", s, d_tr.label_slices(), attacked)
-        return sample_dataset(spec, n, tr_seed).gather()
+        return sample_dataset(spec, n, item_seed("tr")).gather()
 
     def testing_draw(s: float, model):
         """The testing draw at this strength, or None when the fold is tested as it is."""
         nonlocal test_attacked
         if scenario.untouched("test", s, d_ts):
             return None
-        attacked = test_attacked or build_scenario_pools(scenario, "test", testing_slices(), model, s, pools_seed)
+        attacked = test_attacked or build_scenario_pools(scenario, "test", fold.slices, model, s, item_seed("pools"))
         if invariant:
             test_attacked = attacked  # an empty one is built again at the next strength
-        spec, n = scenario_distribution_specs(scenario, "test", s, testing_slices(), attacked)
-        return sample_dataset(spec, n, ts_seed)
+        spec, n = scenario_distribution_specs(scenario, "test", s, fold.slices, attacked)
+        return sample_dataset(spec, n, item_seed("ts"))
 
-    def train(tr: Dataset):
-        return train_classifier(_resolve_classifier(classifier_config, tr, train_seed), tr, seed=train_seed)
+    def train(tr: Dataset) -> _Model:
+        train_seed = item_seed("train")
+        return _Model(train_classifier(_resolve_classifier(classifier_config, tr, train_seed), tr, seed=train_seed))
 
-    model, on_fold = None, False  # on_fold: the model was trained on the untouched fold
-    ranked = None  # the last testing set's pools, scored and sorted under the current model
+    on_fold = fold.model  # the model trained on the untouched training fold
+    model = None
+    ranked = None  # the last testing set's pools, scored and sorted under ``model``
     for s in strengths:
         try:
             tr = training_set(s)
-            if not (on_fold and tr is d_tr):  # a drawn training set is new at every strength
-                ranked = None  # scored by the model being replaced
-                model, on_fold = train(tr), tr is d_tr
+            if tr is not d_tr or on_fold is None:  # a drawn training set is new at every strength
+                ranked = model = None  # not held while the next model trains: it would raise peak memory
+                model = train(tr)
+                if tr is d_tr:
+                    on_fold = model
+                    if not classifier_config.reads_seed:
+                        fold.model = model
+            elif model is not on_fold:
+                ranked, model = None, on_fold
             del tr  # not held while the testing set is scored: it would raise peak memory
-            if not invariant and ranked is not None:
-                # this strength builds its own attacked pool: the last one is not held while
-                # it is built, and the label slices keep their scores
-                slices = [p for p in ranked.pools if test_clean and any(p is q for q in test_clean.values())]
-                ranked = _rank(model, tuple(slices), ranked) if slices else None
-            ts = testing_draw(s, model)
-            pools, weights = ((d_ts,), None) if ts is None else ts.multiplicities()
-            ranked = _rank(model, pools, ranked)
-            curve = roc(ranked.scores, ranked.labels, None if weights is None else weights[ranked.order])
-            del ts, pools, weights  # with ``ranked``, the only holders of this strength's pools
-            value = metric.compute(curve)
+            if not invariant:
+                ranked = None  # this strength builds its own attacked pool: the last one is not held meanwhile
+            ts = testing_draw(s, model.trained)
+            if ts is None and model.untouched is not None:
+                curve, value = model.untouched
+            else:
+                pools, weights = ((d_ts,), None) if ts is None else ts.multiplicities()
+                ranked = _rank(fold, model, pools, ranked)
+                curve = roc(ranked.scores, ranked.labels, None if weights is None else weights[ranked.order])
+                value = metric.compute(curve)
+                if ts is None and model is on_fold:  # the one model tested at more than one strength
+                    model.untouched = (curve, value)
+                del pools, weights
+            del ts  # with ``ranked``, the only holders of this strength's pools
         except Exception as exc:
             raise SweepError(f"fold {fi}, rep {rep}, strength {s:g}: {exc}") from exc
         yield curve, value
@@ -493,11 +573,13 @@ def security_sweep(
     """Measure the metric at each attack strength, averaged over folds.
 
     Every (fold, repetition) work item is evaluated at each strength by
-    :func:`_evaluate_item`, one item after another in item order, on the
-    calling thread.  The ROCs of item (fold 0, repetition 0) are kept on
-    the returned curve, where :func:`scenario_roc` reads them.  A sweep
-    that :func:`.attacks.sweep_problems` rejects raises ``ValueError``
-    listing every problem before any item runs.
+    :func:`_evaluate_item`, one item after another in item order (fold by
+    fold, repetitions within a fold), on the calling thread.  What a
+    fold's repetitions share is kept until its last one ends.  The ROCs
+    of item (fold 0, repetition 0) are kept on the returned curve, where
+    :func:`scenario_roc` reads them.  A sweep that
+    :func:`.attacks.sweep_problems` rejects raises ``ValueError`` listing
+    every problem before any item runs.
     """
     strengths = [float(s) for s in strengths]
     problems = sweep_problems(scenario, strengths, classifier_config.family)
@@ -506,27 +588,28 @@ def security_sweep(
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
 
-    items = [(fi, rep) for fi in range(folds.k) for rep in range(repetitions)]
     rows, first_item = [], []  # rows: each item's metric values, by strength
-    for fi, rep in items:
-        row = []
-        for curve, value in _evaluate_item(folds, scenario, classifier_config, strengths, metric, seed, fi, rep):
-            if (fi, rep) == (0, 0):
-                first_item.append(curve)
-            row.append(value)
-        rows.append(row)
+    for fi in range(folds.k):
+        fold = _Fold(*folds.pairs[fi])
+        for rep in range(repetitions):
+            row = []
+            for curve, value in _evaluate_item(fold, scenario, classifier_config, strengths, metric, seed, fi, rep):
+                if (fi, rep) == (0, 0):
+                    first_item.append(curve)
+                row.append(value)
+            rows.append(row)
     values = np.array(rows)
 
     # summed row by row in item order: numpy sums a lone column pairwise, which
     # would make a strength's value depend on how many strengths are swept
-    means = sum(values) / len(items)
-    stds = np.sqrt(sum((values - means) ** 2) / (len(items) - 1)) if len(items) > 1 else np.zeros(len(strengths))
+    means = sum(values) / len(rows)
+    stds = np.sqrt(sum((values - means) ** 2) / (len(rows) - 1)) if len(rows) > 1 else np.zeros(len(strengths))
     return SecurityCurve(
         strength_name=scenario.strength.name,
         strengths=tuple(strengths),
         means=tuple(float(v) for v in means),
         stds=tuple(float(v) for v in stds),
-        k=len(items),
+        k=len(rows),
         first_item=tuple(first_item),
     )
 

@@ -363,7 +363,8 @@ def load_scores(path: str | Path) -> ScoreTable:
     if [h.strip() for h in header.lower().split(",")] != _SCORE_HEADER:
         raise ValueError(f"score table {path} must start with header {','.join(_SCORE_HEADER)}")
     raw = []
-    labels = []
+    codes = []
+    parsed: dict[str, int] = {}  # the class code of each distinct label token, parsed once
     for lineno, line in lines:
         parts = line.split(",")
         if len(parts) != 5:
@@ -372,7 +373,10 @@ def load_scores(path: str | Path) -> ScoreTable:
             raw.append((float(parts[2]), float(parts[3])))
         except ValueError:
             raise _bad(path, lineno, "non-numeric score") from None
-        labels.append(_parse_label(parts[4], path, lineno))
+        code = parsed.get(parts[4])
+        if code is None:
+            code = parsed[parts[4]] = int(_parse_label(parts[4], path, lineno) is Label.MALICIOUS)
+        codes.append(code)
     if not raw:
         raise ValueError(f"no score rows in {path}")
     raw_arr = np.array(raw)
@@ -383,7 +387,8 @@ def load_scores(path: str | Path) -> ScoreTable:
         if hi[m] == lo[m]:
             raise ValueError(f"degenerate scores: matcher {name} is constant")
     bounds = MinMaxBounds(lo=(float(lo[0]), float(lo[1])), hi=(float(hi[0]), float(hi[1])))
-    return ScoreTable(dataset=Dataset.from_arrays(bounds.apply(raw_arr), labels), bounds=bounds)
+    dataset = Dataset.from_arrays(bounds.apply(raw_arr), np.array(codes, dtype=np.uint8))
+    return ScoreTable(dataset=dataset, bounds=bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,21 @@ Stream tag conventions used across the library:
 ``("fold", i, "rep", j, "pools")``      attack-pool seed of sweep item (i, j)
 ``("fold", i, "rep", j, "train")``      classifier seed of sweep item (i, j)
 ``("pools", phase)``                    one phase's attacked pools, under the pool seed
-``("labels",)``                         class/flag draws inside the dataset sampler
-``("features",)``                       feature draws inside the dataset sampler
+``("labels",)``                         class/flag draws of the sampler; once per item
+``("features",)``                       feature draws of the sampler; once per item
 ``("resample",)``                       shuffles and bootstrap draws
 ``("train",)``                          classifier-internal randomness (e.g. LR shuffles)
 ``("cgrid-folds",)``                    folds of the SVM C-grid selection
 ``("synthetic-spam",)`` etc.            the bundled synthetic sources
 ======================================  ==================================================
+
+Each strength of a sweep item samples its testing set (and a drawn
+training set) with the item's ``"ts"`` (``"tr"``) seed, and a set of the
+same size wherever the spec keeps it, so its strengths share the
+sampler's streams: common random numbers.  The sampler derives the
+``("labels",)`` uniforms and the ``("features",)`` start state once per
+(seed, size), keeps those of the last two, and hands each call the
+streams exactly as a fresh derivation gives them.
 """
 
 from __future__ import annotations

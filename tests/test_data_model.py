@@ -350,6 +350,39 @@ class TestSampleDataset:
         pools, counts = draw.multiplicities()
         assert int(counts.sum()) == n and len(counts) == sum(len(p) for p in pools)
 
+    @given(calls=st.lists(st.tuples(st.integers(0, 5), st.sampled_from([1, 7, 40]), st.integers(0, 20)), max_size=12))
+    def test_reused_streams_equal_fresh_ones(self, calls):
+        # a (seed, n) called again gets its kept streams back, the feature stream restarted,
+        # while new pairs evict the least recently used
+        from clfsec.data_model import _streams
+
+        for seed, n, take in calls:
+            u_y, u_a, features = _streams(seed, n)
+            labels = derive_rng(seed, "labels")
+            assert np.array_equal(u_y, labels.random(n))
+            assert np.array_equal(u_a, labels.random(n))
+            fresh = derive_rng(seed, "features")
+            assert np.array_equal(features.integers(0, 9, size=take), fresh.integers(0, 9, size=take))
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 50),
+        specs=st.lists(
+            st.tuples(st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 9)),
+            min_size=2,
+            max_size=4,
+        ),
+        interleaved=st.booleans(),
+    )
+    def test_successive_draws_equal_fresh_ones(self, seed, n, specs, interleaved):
+        # a sweep item's strengths: one (seed, n), specs that differ in prior, attack probability and pools,
+        # with or without another seed's draw (a training set) in between
+        for prior, p_m, pool_seed in specs:
+            spec = four_cell_spec(labeled_dataset(3, 4, seed=pool_seed), prior, 0.0, p_m)
+            assert sample_dataset(spec, n, seed).gather() == sample_replay(spec, n, seed)
+            if interleaved:
+                sample_dataset(spec, n + 1, seed + 1)
+
     def test_degenerate_priors_legal(self):
         spec = four_cell_spec(labeled_dataset(), prior=0.0)
         out = sample_dataset(spec, 50, seed=0)

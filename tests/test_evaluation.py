@@ -122,6 +122,28 @@ class TestWeightedRoc:
         self._assert_same(roc(scores, codes, weights), want)
         self._assert_same(roc(scores[order], codes[order], weights[order]), want)
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 60),
+        levels=st.integers(1, 4),
+        weighted=st.booleans(),
+    )
+    def test_sorted_scores_equal_shuffled(self, seed, n, levels, weighted):
+        # non-increasing scores skip the sort; ties within and across labels, and +-inf
+        rng = np.random.default_rng(seed)
+        values = np.concatenate(([np.inf, -np.inf], np.arange(levels, dtype=float)))
+        scores = np.sort(rng.choice(values, size=n))[::-1]
+        codes = np.zeros(n, dtype=np.uint8)
+        codes[rng.choice(n, size=rng.integers(1, n), replace=False)] = 1
+        weights = rng.integers(1, 4, size=n) if weighted else None
+        if weighted:
+            weights[rng.random(n) < 0.3] = 0
+            if not (0 < int(weights @ codes) < int(weights.sum())):
+                return  # a class drawn 0 times: no ROC
+        shuffle = rng.permutation(n)
+        want = roc(scores[shuffle], codes[shuffle], None if weights is None else weights[shuffle])
+        self._assert_same(roc(scores, codes, weights), want)
+
     def test_zero_weight_rows_leave_no_point(self):
         # the row scored 2.0 is never drawn: its tie block must not appear
         curve = roc(np.array([3.0, 2.0, 1.0]), [M, M, L], np.array([1, 0, 2]))
@@ -343,9 +365,43 @@ class TestSecuritySweep:
         attack["strength"]["values"] = [0, 1]
         cfg = ClassifierConfig("one_class_svm", {"nu": 0.1, "gamma": 0.5})
         curve = security_sweep(folds, scenario_from_config(attack), cfg, [0, 1, 0, 0], Auc10(), seed=5)
-        # the fold, the poisoned set, the fold again; the last 0 reuses the fold's model
-        assert on_fold == [True, False, True]
+        # the fold, then the poisoned set; both later 0s reuse the fold's model
+        assert on_fold == [True, False]
         assert curve.means[0] == curve.means[2] == curve.means[3]
+
+    @pytest.mark.parametrize("family, trainings", [("gamma_fusion", 5), ("logistic_regression", 15)])
+    def test_fold_model_shared_unless_training_reads_the_seed(self, monkeypatch, family, trainings):
+        import clfsec.evaluation as evaluation
+        from clfsec.synth import synthetic_score_table
+
+        if family == "gamma_fusion":
+            data = synthetic_score_table(seed=11, n_genuine=60, n_impostor=140)
+            scenario, strengths, metric = canned_scenario("bio_spoof_face"), [0, 0.5, 1], FarAtGar(0.9)
+            config = ClassifierConfig(family, {})
+        else:
+            data = synthetic_spam_corpus(seed=7, n=200, d=40)
+            scenario, strengths, metric = canned_scenario("spam_gwi_bwo", [0, 60]), [0, 2, 4], Auc10()
+            config = ClassifierConfig(family, {"epochs": 3})
+        folds = resample(data, CrossValidation(5), seed=3)
+        trained = []
+        train = evaluation.train_classifier
+
+        def recorded(config, data, seed):
+            trained.append(data)
+            return train(config, data, seed=seed)
+
+        monkeypatch.setattr(evaluation, "train_classifier", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # underflowing fusion densities
+            curve = security_sweep(folds, scenario, config, strengths, metric, seed=5, repetitions=3)
+            means, stds, first_item = security_sweep_reference(folds, scenario, config, strengths, metric, 5, 3)
+        # exploratory: each item trains on its untouched fold; an unseeded family once per fold
+        assert len(trained) == trainings
+        assert all(any(data is tr for tr, _ in folds.pairs) for data in trained)
+        assert (curve.means, curve.stds) == (means, stds)
+        for got, want in zip(curve.first_item, first_item):
+            for name in ("fp", "tp", "thresholds"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_one_attacked_pool_at_a_time_and_each_row_scored_once(self, monkeypatch):
         import weakref

@@ -395,6 +395,24 @@ class TestScores:
         with pytest.raises(ValueError, match=r"unknown label 'imposter' at .*scores\.csv:4$"):
             load_scores(p)
 
+    def test_each_label_token_parsed_once(self, tmp_path, monkeypatch):
+        # a token seen before is not parsed again; an unknown one still names the first line holding it
+        parsed = []
+        parse = Label.parse.__func__
+        monkeypatch.setattr(Label, "parse", classmethod(lambda cls, token: parsed.append(token) or parse(cls, token)))
+        p = tmp_path / "scores.csv"
+        tokens = ["genuine", "impostor", "genuine", "M", "impostor", " Genuine"]
+        rows = "".join(f"u{i},u0,{i},{10 - i},{token}\n" for i, token in enumerate(tokens))
+        p.write_text("user_id,claimed_id,fing_score,face_score,label\n" + rows, encoding="utf-8")
+        assert load_scores(p).dataset.label_codes.tolist() == [0, 1, 0, 1, 1, 0]
+        assert parsed == ["genuine", "impostor", "M", " Genuine"]
+        p.write_text(
+            "user_id,claimed_id,fing_score,face_score,label\nu1,u1,2,10,M\nu2,u1,4,30,imposter\nu3,u1,6,20,imposter\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=r"unknown label 'imposter' at .*scores\.csv:3$"):
+            load_scores(p)
+
     def test_constant_matcher_rejected(self, tmp_path):
         p = tmp_path / "scores.csv"
         p.write_text(

@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 
 from . import synth
-from .config import ConfigError, RunConfig, canned_config, canned_scenario_names, load_config, parse_config
+from .config import ConfigError, RunConfig, canned_config, canned_scenario_names, load_config, load_report, parse_config, report_document
 from .data_model import Dataset, resample
 from .evaluation import EvaluationReport, scenario_roc, security_sweep
 from .ingestion import (
@@ -180,7 +180,7 @@ def _cmd_evaluate(args) -> int:
     csv_path = run.out_dir / f"curve_{tag}.csv"
     csv_path.write_text(curve.to_csv_text(), encoding="utf-8")
     report_path = run.out_dir / f"report_{tag}.json"
-    report_path.write_text(json.dumps(report.to_dict(), indent=1) + "\n", encoding="utf-8")
+    report_path.write_text(json.dumps(report_document(report), indent=1) + "\n", encoding="utf-8")
 
     strength0 = curve.means[curve.strengths.index(0.0)]
     worst = type(run.metric).worst(curve.means)
@@ -197,15 +197,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_report(args) -> int:
     if not args.reports:
         raise ConfigError("at least one report file is required")
-    reports = []
-    for p in args.reports:
-        path = Path(p)
-        if not path.is_file():
-            raise ConfigError(f"report file not found: {path}")
-        try:
-            reports.append(EvaluationReport.from_dict(json.loads(path.read_text(encoding="utf-8"))))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path} is not a clfsec report: {exc!r}") from exc
+    reports = [load_report(path) for path in args.reports]
     try:
         written = write_figure_bundle(reports, args.out or "figures")
     except ValueError as exc:

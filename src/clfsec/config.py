@@ -1,4 +1,4 @@
-"""Scenario configuration files.
+"""Scenario configs and report documents: every document clfsec reads.
 
 Configs are YAML documents with five sections (data, classifier, attack,
 evaluation, output) and a schema ``version`` key.  The attack section
@@ -10,17 +10,23 @@ its default; the classifier family and the data source pick the keys of
 ``classifier`` and ``data.synth``.  One reader (:func:`_read`) names each
 unknown key, missing required key and bad value, in every section; the
 rules that tie keys together follow it, in :func:`parse_config`.
+
+A report is the JSON document ``evaluate`` writes
+(:func:`report_document`) and ``report`` reads (:func:`load_report`).  Its
+keys are declared once too, in ``_REPORT``, and read by the same reader.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import inspect
+import json
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple
 
+import numpy as np
 import yaml
 
 from .attacks import (
@@ -37,7 +43,7 @@ from .attacks import (
 from . import synth
 from .classifiers import CLASSIFIER_PARAMS, ClassifierConfig
 from .data_model import Bootstrap, Chronological, CrossValidation, Label, ResampleMethod
-from .evaluation import Auc10, FarAtGar, Metric
+from .evaluation import Auc10, EvaluationReport, FarAtGar, Metric, RocCurve, SecurityCurve
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -49,6 +55,8 @@ __all__ = [
     "parse_config",
     "scenario_from_config",
     "classifier_from_config",
+    "load_report",
+    "report_document",
 ]
 
 SCHEMA_VERSION = 1
@@ -170,6 +178,54 @@ def classifier_from_config(cls_section: Mapping) -> ClassifierConfig:
     return _classifier(_read_section(cls_section, _classifier_schema(cls_section), "classifier"))
 
 
+def load_report(path: str | Path) -> EvaluationReport:
+    """Read a report document, or raise :class:`ConfigError` listing every problem found, each naming ``path``."""
+    not_a_report = f"{path} is not a clfsec report:"
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"{not_a_report} cannot be read ({exc.strerror})") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(f"{not_a_report} not JSON ({exc})") from None
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{not_a_report} must be a JSON object, got {type(doc).__name__}")
+    # the format and version first, as parse_config checks the version: another document gets one problem
+    problems = [f"{key} must be {want!r}, got {doc.get(key)!r}" for key, want in _REPORT_FORMAT.items() if doc.get(key) != want]
+    if not problems:
+        values = _read(doc, _REPORT, "", problems)
+        problems.extend(_unequal_lengths(values.get("curve", {}), "curve"))
+    if problems:
+        raise ConfigError(*(f"{not_a_report} {problem}" for problem in problems))
+    values["curve"] = SecurityCurve(**values["curve"])
+    return EvaluationReport(**{key: v for key, v in values.items() if key not in _REPORT_FORMAT})  # _UNREAD keys come back
+
+
+def report_document(report: EvaluationReport) -> dict:
+    """The JSON document of ``report``, which :func:`load_report` reads back."""
+    return {
+        **_REPORT_FORMAT,
+        "scenario": report.scenario,
+        "classifier": report.classifier,
+        "metric": report.metric,
+        "folds": report.folds,
+        "seed": report.seed,
+        "config": dict(report.config) if report.config is not None else None,
+        "curve": {
+            "strength_name": report.curve.strength_name,
+            "strengths": list(report.curve.strengths),
+            "means": list(report.curve.means),
+            "stds": list(report.curve.stds),
+            "k": report.curve.k,
+        },
+        "roc_curves": {
+            name: {"fp": c.fp.tolist(), "tp": c.tp.tolist(), "thresholds": c.thresholds.tolist()}
+            for name, c in report.roc_curves.items()
+        },
+        "started_at": report.started_at,
+        "elapsed_seconds": report.elapsed_seconds,
+    }
+
+
 def _scenario(attack: Mapping) -> AttackScenario:
     capability, strength = dict(attack["capability"]), attack["strength"]
     values = strength["values"]  # lo and hi default to the least and the greatest
@@ -247,6 +303,7 @@ _file_name = _typed(  # a name that output file names are built from
     lambda v: isinstance(v, str) and "/" not in v and "\0" not in v, "a string without '/' or NUL"
 )
 _path = _typed(lambda v: isinstance(v, str), "a path string", Path)
+_mapping = _typed(lambda v: isinstance(v, Mapping), "a mapping")
 _number = _typed(_is_number, "a number", float)
 _raw_number = _typed(_is_number, "a number")  # the number as given: 1 stays 1
 _grid = _typed(lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_number, v)), "a non-empty list of numbers")
@@ -280,15 +337,11 @@ def _fraction_map(value: Any, where: str, parser: Callable = _fraction) -> dict[
     """``{phase: {label: fraction}}`` keyed by (phase, :meth:`Label.parse` of the label); null is empty."""
     if value is None:
         return {}
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{where} must be a mapping, got {value!r}")
     out: dict[tuple[str, Label], Any] = {}
-    for phase, by_label in value.items():
+    for phase, by_label in _mapping(value, where).items():
         if phase not in ("train", "test"):
             raise ConfigError(f"{where} has unknown phase {phase!r}; known: train, test")
-        if not isinstance(by_label or {}, Mapping):
-            raise ConfigError(f"{where}.{phase} must be a mapping, got {by_label!r}")
-        for label, fraction in (by_label or {}).items():
+        for label, fraction in _mapping(by_label or {}, f"{where}.{phase}").items():
             try:
                 key = (phase, Label.parse(label))
             except ValueError as exc:
@@ -297,6 +350,26 @@ def _fraction_map(value: Any, where: str, parser: Callable = _fraction) -> dict[
                 raise ConfigError(f"{where}.{phase} names label {key[1].value} twice")
             out[key] = parser(fraction, f"{where}.{phase}.{label}")
     return out
+
+
+_ROC = dict.fromkeys(("fp", "tp", "thresholds"), _Field(_numbers))
+
+
+def _roc_curves(value: Any, where: str) -> dict[str, RocCurve]:
+    """``{name: {fp, tp, thresholds}}``: one ROC per name, its three lists of equal lengths."""
+    docs, problems = _mapping(value, where), []
+    rocs = _read(docs, dict.fromkeys(docs, _ROC), where, problems)
+    problems.extend(p for name, roc in rocs.items() for p in _unequal_lengths(roc, f"{where}.{name}"))
+    if problems:
+        raise ConfigError(*problems)
+    return {name: RocCurve(**{key: np.array(v) for key, v in roc.items()}) for name, roc in rocs.items()}
+
+
+def _unequal_lengths(section: Mapping, where: str) -> list[str]:
+    """A problem naming the lists of a read ``section`` (its tuple values) when their lengths differ."""
+    lengths = {f"{where}.{key}": len(v) for key, v in section.items() if isinstance(v, tuple)}
+    unequal = len(set(lengths.values())) > 1
+    return [f"{', '.join(lengths)} must have equal lengths, got {', '.join(map(str, lengths.values()))}"] if unequal else []
 
 
 _ATTACK = {
@@ -388,6 +461,26 @@ def _schema(cfg: Mapping) -> dict:
         },
         "output": {"directory": _Field(_path, "out"), "formats": _UNREAD},
     }
+
+
+_REPORT_FORMAT = {"format": "clfsec-report", "version": 1}  # checked before the other keys are read
+_REPORT = {  # a report document: the fields of EvaluationReport, with the curve's as a section
+    **dict.fromkeys(_REPORT_FORMAT, _UNREAD),
+    "scenario": _Field(_string),
+    "classifier": _Field(_string),
+    "metric": _Field(_string),
+    "folds": _Field(_integer()),
+    "seed": _Field(_optional(_integer()), None),
+    "config": _Field(_optional(_mapping), None),
+    "curve": {
+        "strength_name": _Field(_string),
+        **dict.fromkeys(("strengths", "means", "stds"), _Field(_numbers)),
+        "k": _Field(_integer()),
+    },
+    "roc_curves": _Field(_roc_curves, {}),
+    "started_at": _Field(_string, ""),
+    "elapsed_seconds": _Field(_number, 0.0),
+}
 
 
 def _data_schema(section: Any) -> dict:

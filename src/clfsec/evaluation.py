@@ -27,6 +27,10 @@ at that strength; no item is run twice.
 ROC curves are exact step/trapezoid constructions: samples tied on the
 score move as one block, which makes every derived quantity invariant
 under strictly increasing score transforms.
+
+An evaluation's curve and ROCs are kept in an :class:`EvaluationReport`.
+Its JSON document is declared, written and read in :mod:`.config`, next to
+the config schema, so one reader reads every document clfsec reads.
 """
 
 from __future__ import annotations
@@ -228,7 +232,7 @@ class SecurityCurve:
 
 @dataclass
 class EvaluationReport:
-    """Self-describing record of one security evaluation."""
+    """Self-describing record of one security evaluation, in memory; :mod:`.config` writes and reads its JSON."""
 
     scenario: str
     classifier: str
@@ -240,94 +244,6 @@ class EvaluationReport:
     roc_curves: dict[str, RocCurve] = field(default_factory=dict)
     started_at: str = ""
     elapsed_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "format": "clfsec-report",
-            "version": 1,
-            "scenario": self.scenario,
-            "classifier": self.classifier,
-            "metric": self.metric,
-            "folds": self.folds,
-            "seed": self.seed,
-            "config": dict(self.config) if self.config is not None else None,
-            "curve": {
-                "strength_name": self.curve.strength_name,
-                "strengths": list(self.curve.strengths),
-                "means": list(self.curve.means),
-                "stds": list(self.curve.stds),
-                "k": self.curve.k,
-            },
-            "roc_curves": {
-                name: {"fp": c.fp.tolist(), "tp": c.tp.tolist(), "thresholds": c.thresholds.tolist()}
-                for name, c in self.roc_curves.items()
-            },
-            "started_at": self.started_at,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "EvaluationReport":
-        """Read a report document; a missing key or a value of the wrong type raises ``ValueError`` naming the key."""
-        if not isinstance(doc, Mapping) or doc.get("format") != "clfsec-report" or doc.get("version") != 1:
-            raise ValueError("unrecognized report document")
-        cur = _report_value(doc, "", "curve", _OBJECT)
-        rocs = _report_value(doc, "", "roc_curves", _OBJECT, {})
-        return cls(
-            scenario=_report_value(doc, "", "scenario", _STRING),
-            classifier=_report_value(doc, "", "classifier", _STRING),
-            metric=_report_value(doc, "", "metric", _STRING),
-            folds=_report_value(doc, "", "folds", _INTEGER),
-            seed=_report_value(doc, "", "seed", _or_null(_INTEGER), None),
-            config=_report_value(doc, "", "config", _or_null(_OBJECT), None),
-            curve=SecurityCurve(
-                strength_name=_report_value(cur, "curve.", "strength_name", _STRING),
-                strengths=tuple(_report_value(cur, "curve.", "strengths", _NUMBERS)),
-                means=tuple(_report_value(cur, "curve.", "means", _NUMBERS)),
-                stds=tuple(_report_value(cur, "curve.", "stds", _NUMBERS)),
-                k=_report_value(cur, "curve.", "k", _INTEGER),
-            ),
-            roc_curves={name: _report_roc(rocs, name) for name in rocs},
-            started_at=_report_value(doc, "", "started_at", _STRING, ""),
-            elapsed_seconds=_report_value(doc, "", "elapsed_seconds", _NUMBER, 0.0),
-        )
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# the value kinds of a report's keys: (accepts, what it must be)
-_STRING = (lambda v: isinstance(v, str), "a string")
-_INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
-_NUMBER = (_is_number, "a number")
-_NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers")
-_OBJECT = (lambda v: isinstance(v, Mapping), "an object")
-_REQUIRED = object()
-
-
-def _or_null(kind):
-    accepts, what = kind
-    return (lambda v: v is None or accepts(v), f"{what} or null")
-
-
-def _report_value(doc: Mapping, where: str, key: str, kind, default=_REQUIRED):
-    """``doc[key]``, or ``default`` when the key is absent; an absent required key or a value not of ``kind`` raises ``ValueError``."""
-    if key not in doc:
-        if default is _REQUIRED:
-            raise ValueError(f"report key {where}{key} is missing")
-        return default
-    accepts, what = kind
-    if not accepts(doc[key]):
-        raise ValueError(f"report key {where}{key} must be {what}, got {doc[key]!r}")
-    return doc[key]
-
-
-def _report_roc(rocs: Mapping, name: str) -> RocCurve:
-    curve = _report_value(rocs, "roc_curves.", name, _OBJECT)
-    return RocCurve(
-        *(np.array(_report_value(curve, f"roc_curves.{name}.", key, _NUMBERS)) for key in ("fp", "tp", "thresholds"))
-    )
 
 
 # ---------------------------------------------------------------------------

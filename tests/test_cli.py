@@ -724,14 +724,24 @@ class TestReportCommand:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda doc: doc["curve"].update(strength_name=5), "report key curve.strength_name must be a string, got 5"),
-            (lambda doc: doc["curve"].update(means="0.1 0.2"), "report key curve.means must be a list of numbers"),
+            (lambda doc: doc["curve"].update(strength_name=5), "curve.strength_name must be a string, got 5"),
+            (lambda doc: doc["curve"].update(means="0.1 0.2"), "curve.means must be a list of numbers"),
             (
                 lambda doc: doc["roc_curves"]["strength_0"].update(fp=0.5),
-                "report key roc_curves.strength_0.fp must be a list of numbers, got 0.5",
+                "roc_curves.strength_0.fp must be a list of numbers, got 0.5",
+            ),
+            (lambda doc: doc.update(extra_key=1), "unknown top-level keys ['extra_key']"),
+            (
+                lambda doc: doc["curve"]["means"].pop(),
+                "curve.strengths, curve.means, curve.stds must have equal lengths, got 2, 1, 2",
+            ),
+            (
+                lambda doc: doc["roc_curves"]["strength_0"].update(tp=doc["roc_curves"]["strength_0"]["tp"][:2]),
+                "roc_curves.strength_0.fp, roc_curves.strength_0.tp, roc_curves.strength_0.thresholds"
+                " must have equal lengths, got ",
             ),
         ],
-        ids=["non-string-name", "string-means", "non-list-fp"],
+        ids=["non-string-name", "string-means", "non-list-fp", "unknown-key", "short-means", "short-tp"],
     )
     def test_field_of_the_wrong_type_exits_2(self, edit, message, bio_report, tmp_path, capsys):
         # such a report used to exit 1 with a TypeError from the figure writer

@@ -10,7 +10,7 @@ import pytest
 from clfsec import synth
 from clfsec.classifiers import CLASSIFIER_PARAMS
 from clfsec.cli import build_parser
-from clfsec.config import _FILE_SOURCES, _REMOVED, _RESAMPLING, _schema, ConfigError, canned_config, parse_config
+from clfsec.config import _FILE_SOURCES, _REMOVED, _REPORT, _RESAMPLING, _schema, ConfigError, canned_config, parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,26 +22,32 @@ def _readme_data_sources() -> set[str]:
     return set(re.findall(r"`([a-z][a-z-]*)`", row))
 
 
+def _keys(schema: Mapping, where: str = "") -> set[str]:
+    """The dotted name of every key ``schema`` declares outside a section (sections are named by their keys)."""
+    names = set()
+    for key, spec in schema.items():
+        name = f"{where}.{key}" if where else key
+        if isinstance(spec, Mapping):
+            names |= _keys(spec, name)
+        elif spec is not _REMOVED:
+            names.add(name)
+    return names
+
+
 def _accepted_keys() -> set[str]:
-    """The dotted name of every key ``parse_config`` accepts outside a section (sections are named by their keys).
+    """The dotted name of every key ``parse_config`` accepts outside a section.
 
     Taken over every source, resampling method and classifier family, since these choose the keys read.
     """
-    names = set()
-
-    def walk(schema: Mapping, where: str) -> None:
-        for key, spec in schema.items():
-            name = f"{where}.{key}" if where else key
-            if isinstance(spec, Mapping):
-                walk(spec, name)
-            elif spec is not _REMOVED:
-                names.add(name)
-
-    for source in (*_FILE_SOURCES, *synth.SOURCES):
-        for method in _RESAMPLING:
-            for family in CLASSIFIER_PARAMS:
-                walk(_schema({"data": {"source": source, "resampling": {"method": method}}, "classifier": {"family": family}}), "")
-    return names
+    return {
+        name
+        for source in (*_FILE_SOURCES, *synth.SOURCES)
+        for method in _RESAMPLING
+        for family in CLASSIFIER_PARAMS
+        for name in _keys(
+            _schema({"data": {"source": source, "resampling": {"method": method}}, "classifier": {"family": family}})
+        )
+    }
 
 
 def test_readme_lists_every_data_source_parse_config_accepts():
@@ -52,6 +58,12 @@ def test_readme_names_every_key_parse_config_accepts():
     text = README.read_text(encoding="utf-8")
     assert {"version", "data.resampling.k", "classifier.epochs", "data.synth.n_train", "output.formats"} <= _accepted_keys()
     assert sorted(name for name in _accepted_keys() if f"`{name}`" not in text) == []
+
+
+def test_readme_names_every_report_key():
+    text = README.read_text(encoding="utf-8")
+    assert {"format", "config", "curve.means", "roc_curves", "elapsed_seconds"} <= _keys(_REPORT)
+    assert sorted(name for name in _keys(_REPORT) if f"`{name}`" not in text) == []
 
 
 def _cli_options() -> set[str]:

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import warnings
 
 import hypothesis
@@ -8,7 +10,15 @@ from hypothesis import example, given, strategies as st
 from clfsec.attacks import GENERATORS
 from clfsec.classifiers import CLASSIFIER_PARAMS, ClassifierConfig, decision_scores, train_classifier
 from clfsec.cli import _ingest
-from clfsec.config import ConfigError, canned_config, classifier_from_config, parse_config, scenario_from_config
+from clfsec.config import (
+    ConfigError,
+    canned_config,
+    classifier_from_config,
+    load_report,
+    parse_config,
+    report_document,
+    scenario_from_config,
+)
 from clfsec.data_model import Bootstrap, Chronological, CrossValidation, Dataset, FoldSet, Label, resample
 from clfsec.evaluation import (
     Auc10,
@@ -252,14 +262,29 @@ class TestSecurityCurve:
         assert lines[1] == "0.0,0.1,0.0,3"
         assert len(lines) == 3
 
-    def test_report_round_trip(self):
+    def test_report_round_trip(self, tmp_path):
         c = SecurityCurve("p_max", (0.0, 0.5), (0.1, 0.02), (0.0, 0.003), 5)
+        rocs = {
+            "strength_0": roc(np.array([0.9, 0.2, 0.2, -1.0]), [M, L, M, L]),
+            "strength_0.5": roc(np.array([0.1, 0.3]), [L, M]),
+        }
         rep = EvaluationReport(
             scenario="s", classifier="c", metric="auc10", folds=5, curve=c, seed=9,
-            config={"version": 1},
+            config={"version": 1, "evaluation": {"seed": 9}}, roc_curves=rocs,
+            started_at="2026-01-02T03:04:05Z", elapsed_seconds=1.25,
         )
-        rep2 = EvaluationReport.from_dict(rep.to_dict())
-        assert rep2.curve == c and rep2.seed == 9 and rep2.scenario == "s"
+        assert all(r.thresholds[0] == np.inf for r in rocs.values())
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report_document(rep)), encoding="utf-8")
+        rep2 = load_report(path)
+        plain = [f.name for f in dataclasses.fields(EvaluationReport) if f.name != "roc_curves"]
+        assert {name: getattr(rep2, name) for name in plain} == {name: getattr(rep, name) for name in plain}
+        assert rep2.roc_curves.keys() == rocs.keys()
+        for name, curve in rocs.items():
+            for key in ("fp", "tp", "thresholds"):
+                got = getattr(rep2.roc_curves[name], key)
+                assert got.dtype == np.float64 and np.array_equal(got, getattr(curve, key)), (name, key)
+        assert report_document(rep2) == report_document(rep)
 
 
 class TestSecuritySweep:

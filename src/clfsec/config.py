@@ -128,7 +128,7 @@ def parse_config(cfg: Mapping, base_dir: Path = Path()) -> RunConfig:
     """
     schema = _schema(cfg)
     problems = []
-    if cfg.get("version") != SCHEMA_VERSION:
+    if not _is(cfg.get("version"), SCHEMA_VERSION):
         problems.append(f"config version must be {SCHEMA_VERSION}, got {cfg.get('version')!r}")
     for name, spec in schema.items():
         if isinstance(spec, Mapping) and not isinstance(cfg.get(name), Mapping):
@@ -190,10 +190,10 @@ def load_report(path: str | Path) -> EvaluationReport:
     if not isinstance(doc, Mapping):
         raise ConfigError(f"{not_a_report} must be a JSON object, got {type(doc).__name__}")
     # the format and version first, as parse_config checks the version: another document gets one problem
-    problems = [f"{key} must be {want!r}, got {doc.get(key)!r}" for key, want in _REPORT_FORMAT.items() if doc.get(key) != want]
+    problems = [f"{key} must be {want!r}, got {doc.get(key)!r}" for key, want in _REPORT_FORMAT.items() if not _is(doc.get(key), want)]
     if not problems:
         values = _read(doc, _REPORT, "", problems)
-        problems.extend(_unequal_lengths(values.get("curve", {}), "curve"))
+        problems.extend(_list_lengths(values.get("curve", {}), "curve", at_least=1))
     if problems:
         raise ConfigError(*(f"{not_a_report} {problem}" for problem in problems))
     values["curve"] = SecurityCurve(**values["curve"])
@@ -267,6 +267,11 @@ def _typed(accepts: Callable[[Any], bool], what: str, convert: Callable[[Any], A
         return convert(value)
 
     return parse
+
+
+def _is(value: Any, want: Any) -> bool:
+    """Whether ``value`` equals ``want`` and has its type: true and 1.0 are not version 1."""
+    return type(value) is type(want) and value == want
 
 
 def _is_number(value: Any) -> bool:
@@ -356,20 +361,27 @@ _ROC = dict.fromkeys(("fp", "tp", "thresholds"), _Field(_numbers))
 
 
 def _roc_curves(value: Any, where: str) -> dict[str, RocCurve]:
-    """``{name: {fp, tp, thresholds}}``: one ROC per name, its three lists of equal lengths."""
+    """``{name: {fp, tp, thresholds}}``: one ROC per name, its three lists of equal lengths.
+
+    Each list holds at least the ROC's two end points.
+    """
     docs, problems = _mapping(value, where), []
     rocs = _read(docs, dict.fromkeys(docs, _ROC), where, problems)
-    problems.extend(p for name, roc in rocs.items() for p in _unequal_lengths(roc, f"{where}.{name}"))
+    problems.extend(p for name, roc in rocs.items() for p in _list_lengths(roc, f"{where}.{name}", at_least=2))
     if problems:
         raise ConfigError(*problems)
     return {name: RocCurve(**{key: np.array(v) for key, v in roc.items()}) for name, roc in rocs.items()}
 
 
-def _unequal_lengths(section: Mapping, where: str) -> list[str]:
-    """A problem naming the lists of a read ``section`` (its tuple values) when their lengths differ."""
+def _list_lengths(section: Mapping, where: str, at_least: int) -> list[str]:
+    """A problem naming the lists of a read ``section`` (its tuple values) when their lengths differ or fall below ``at_least``."""
     lengths = {f"{where}.{key}": len(v) for key, v in section.items() if isinstance(v, tuple)}
-    unequal = len(set(lengths.values())) > 1
-    return [f"{', '.join(lengths)} must have equal lengths, got {', '.join(map(str, lengths.values()))}"] if unequal else []
+    names, got = ", ".join(lengths), ", ".join(map(str, lengths.values()))
+    if len(set(lengths.values())) > 1:
+        return [f"{names} must have equal lengths, got {got}"]
+    if min(lengths.values(), default=at_least) < at_least:
+        return [f"{names} must have lengths of at least {at_least}, got {got}"]
+    return []
 
 
 _ATTACK = {

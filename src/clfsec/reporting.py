@@ -63,11 +63,11 @@ def _merged_csv(merged: dict) -> str:
 
 def write_figure_bundle(reports: Sequence[EvaluationReport], out_dir: str | Path) -> list[Path]:
     """Write merged curve CSV + SVG, and per-report ROC data when present."""
+    merged = merge_reports(reports)  # before making out_dir: a rejected merge leaves nothing behind
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
-    merged = merge_reports(reports)
     csv_path = out_dir / "security_curves.csv"
     csv_path.write_text(_merged_csv(merged), encoding="utf-8")
     written.append(csv_path)

@@ -15,7 +15,9 @@ plain code everything the sweep orchestrates.  The one-class kernel
 matrix referee runs the library's SMO pair loop, which the QP oracle
 checks, on the whole kernel matrix, so that the trainer's kernel columns
 can be checked bit for bit.  The hinge-bias referee is the linear SVM's
-bias search as it was first written, a loss at every breakpoint.
+bias search as it was first written, a loss at every breakpoint, and the
+pair-loop referee is the SMO pair loop as it was first written, which
+rebuilds -y * grad and both index sets at every pair.
 """
 
 from __future__ import annotations
@@ -145,6 +147,45 @@ def one_class_kernel_matrix_reference(X: np.ndarray, nu: float, gamma: float, to
     if np.isfinite(lo) and np.isfinite(hi):
         return alpha, float((lo + hi) / 2.0)
     return alpha, float(lo) if np.isfinite(lo) else float(hi)
+
+
+def smo_pair_loop_reference(
+    grad: np.ndarray,
+    alpha: np.ndarray,
+    upper: float,
+    y: np.ndarray,
+    columns: np.ndarray,
+    diag: np.ndarray,
+    eps: float,
+    max_iter: int,
+) -> float:
+    """The library's SMO pair loop as it was first written: same arguments, same updates in place, same gap."""
+    gap = np.inf
+    for _ in range(max_iter):
+        neg_yg = -y * grad
+        up = ((y > 0) & (alpha < upper)) | ((y < 0) & (alpha > 0))
+        low = ((y < 0) & (alpha < upper)) | ((y > 0) & (alpha > 0))
+        if not up.any() or not low.any():
+            return 0.0
+        i = int(np.flatnonzero(up)[np.argmax(neg_yg[up])])
+        gap = float(neg_yg[i] - neg_yg[low].min())
+        if gap <= eps:
+            return gap
+        col_i = columns[i]
+        # objective decrease along (i, t) is b^2 / (2 eta); pick the best t
+        b_it = neg_yg[i] - neg_yg
+        eta_it = np.maximum(diag[i] + diag - 2.0 * col_i, 1e-12)
+        decrease = np.where(low & (b_it > 0.0), b_it * b_it / eta_it, -np.inf)
+        j = int(np.argmax(decrease))
+        col_j = columns[j]
+        # feasible direction d_i = y_i, d_j = -y_j keeps sum(y*a) constant
+        lam = b_it[j] / eta_it[j]
+        lam = min(lam, (upper - alpha[i]) if y[i] > 0 else alpha[i])
+        lam = min(lam, (upper - alpha[j]) if y[j] < 0 else alpha[j])
+        alpha[i] += y[i] * lam
+        alpha[j] -= y[j] * lam
+        grad += lam * y * (col_i - col_j)
+    return gap
 
 
 def hinge_bias_reference(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:

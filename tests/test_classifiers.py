@@ -29,6 +29,7 @@ from oracles import (
     one_class_dual_oracle,
     one_class_kernel_matrix_reference,
     one_class_kkt_residual,
+    smo_pair_loop_reference,
     svm_dual_oracle,
     svm_kkt_residual,
 )
@@ -40,8 +41,8 @@ def two_class(X, y):
     return Dataset.from_arrays(np.asarray(X, dtype=float), [M if v > 0 else L for v in y])
 
 
-def random_instance(rng, n=20, d=5):
-    X = rng.normal(size=(n, d))
+def random_instance(rng, n=20, d=5, binary=False):
+    X = (rng.random((n, d)) < 0.3).astype(float) if binary else rng.normal(size=(n, d))
     y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     if abs(y.sum()) == n:
         y[0] = -y[0]
@@ -65,17 +66,18 @@ class TestLinearSvm:
         assert errors > 0  # XOR is not linearly separable
 
     def test_objective_matches_qp_oracle(self, rng):
-        X, y = random_instance(rng)
-        ds = two_class(X, y)
-        model = train_linear_svm(ds, c_param=1.0, tolerance=1e-8)
-        _, dual_oracle = svm_dual_oracle(X, y, 1.0)
-        w = model.weights
-        primal = 0.5 * w @ w + np.maximum(0, 1 - y * (X @ w + model.bias)).sum()
-        assert abs(primal - dual_oracle) <= 1e-4 * (1 + abs(dual_oracle))
+        for binary in (False, True):  # 0/1 features take the posting-list columns
+            X, y = random_instance(rng, d=5 + 3 * binary, binary=binary)
+            ds = two_class(X, y)
+            model = train_linear_svm(ds, c_param=1.0, tolerance=1e-8)
+            _, dual_oracle = svm_dual_oracle(X, y, 1.0)
+            w = model.weights
+            primal = 0.5 * w @ w + np.maximum(0, 1 - y * (X @ w + model.bias)).sum()
+            assert abs(primal - dual_oracle) <= 1e-4 * (1 + abs(dual_oracle))
 
     def test_kkt_and_duality_gap(self, rng):
-        for _ in range(5):
-            X, y = random_instance(rng, n=25, d=4)
+        for binary in (False,) * 5 + (True,) * 3:
+            X, y = random_instance(rng, n=25, d=4 + 4 * binary, binary=binary)
             ds = two_class(X, y)
             model, alpha = train_linear_svm(ds, c_param=2.0, tolerance=1e-8, with_dual=True)
             assert svm_kkt_residual(X, y, alpha, model.weights, model.bias, 2.0) <= 1e-6
@@ -115,10 +117,51 @@ class TestLinearSvm:
             assert classifiers._best_bias(X, y, w, 1.0) == hinge_bias_reference(X, y, w)
             assert model.bias == hinge_bias_reference(X, y, w)
 
+    def test_posting_list_columns_bit_identical(self, rng):
+        X = (rng.random((60, 30)) < 0.2).astype(float)
+        X[7], X[11] = 0.0, 1.0  # a row with no terms, and one with every term
+        column = classifiers._gram_column(X)
+        for i in range(len(X)):
+            assert np.array_equal(column(i), X @ X[i])
+        # one 0.5 takes the set off the posting lists, which would count it as 1 in column 11
+        X[3, np.flatnonzero(X[3])[0]] = 0.5
+        column = classifiers._gram_column(X)
+        for i in range(len(X)):
+            assert np.array_equal(column(i), X @ X[i])
+
     def test_single_class_rejected(self):
         ds = Dataset.from_arrays(np.eye(3), [L, L, L])
         with pytest.raises(ValueError, match="degenerate training set"):
             train_linear_svm(ds, c_param=1.0)
+
+
+def pair_loop_instance(rng, kind, n=40):
+    """``(grad, alpha, upper, y, K, diag)`` at a trainer's start: linear with Gaussian or 0/1 features, or one-class."""
+    if kind == "one_class":
+        X = rng.normal(size=(n, 3))
+        K, y, upper = rbf_kernel(X, X, 0.5), np.ones(n), 1.0 / (0.2 * n)
+        alpha = np.where(np.arange(n) < 0.2 * n, upper, 0.0)  # mass 1 at the upper bound
+        grad = K @ alpha
+    else:
+        X, y = random_instance(rng, n, 8, binary=kind == "binary")
+        K, upper, alpha, grad = X @ X.T, 1.0, np.zeros(n), -np.ones(n)
+    return grad, alpha, upper, y, K, np.diag(K).copy()
+
+
+class TestSmoPairLoop:
+    @pytest.mark.parametrize("kind", ["gaussian", "binary", "one_class"])
+    def test_bit_identical_to_reference(self, rng, kind):
+        for _ in range(3):
+            start = pair_loop_instance(rng, kind)
+            for max_iter in (5, 10_000):  # the budget running out, and convergence
+                runs = []
+                for loop in (classifiers._smo_pair_loop, smo_pair_loop_reference):
+                    grad, alpha, upper, y, K, diag = (v.copy() if isinstance(v, np.ndarray) else v for v in start)
+                    gap = loop(grad, alpha, upper, y, K, diag, 1e-10, max_iter)
+                    runs.append((alpha, grad, gap))
+                (alpha, grad, gap), (ref_alpha, ref_grad, ref_gap) = runs
+                assert np.array_equal(alpha, ref_alpha) and np.array_equal(grad, ref_grad) and gap == ref_gap
+            assert gap <= 1e-10
 
 
 class TestLogisticRegression:

@@ -338,6 +338,15 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(path)]) == 2
         assert "version" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+    def test_version_of_another_type_exits_2(self, version, tmp_path, capsys):
+        cfg = canned_config("bio_spoof_face")
+        cfg["version"] = version
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"config version must be 1, got {version!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "section, key",
         [("data", "train_size"), ("data", "test_size"), ("evaluation", "scale_train_with_prior")],
@@ -695,6 +704,7 @@ class TestReportCommand:
         assert main(["report", str(r1), str(r2), "--out", str(tmp_path / "f")]) == 2
         err = capsys.readouterr().err
         assert "auc10" in err and "far_at_gar_0.9" in err
+        assert not (tmp_path / "f").exists()  # the merge is refused before the bundle directory is made
 
     @pytest.mark.parametrize(
         "text",
@@ -740,8 +750,29 @@ class TestReportCommand:
                 "roc_curves.strength_0.fp, roc_curves.strength_0.tp, roc_curves.strength_0.thresholds"
                 " must have equal lengths, got ",
             ),
+            (lambda doc: doc.update(version=True), "version must be 1, got True"),
+            (lambda doc: doc.update(version=1.0), "version must be 1, got 1.0"),
+            (
+                lambda doc: doc["curve"].update(strengths=[], means=[], stds=[]),
+                "curve.strengths, curve.means, curve.stds must have lengths of at least 1, got 0, 0, 0",
+            ),
+            (
+                lambda doc: doc["roc_curves"]["strength_0"].update(fp=[], tp=[], thresholds=[]),
+                "roc_curves.strength_0.fp, roc_curves.strength_0.tp, roc_curves.strength_0.thresholds"
+                " must have lengths of at least 2, got 0, 0, 0",
+            ),
+            (
+                lambda doc: doc["roc_curves"].update(
+                    strength_0={key: v[:1] for key, v in doc["roc_curves"]["strength_0"].items()}
+                ),
+                "roc_curves.strength_0.fp, roc_curves.strength_0.tp, roc_curves.strength_0.thresholds"
+                " must have lengths of at least 2, got 1, 1, 1",
+            ),
         ],
-        ids=["non-string-name", "string-means", "non-list-fp", "unknown-key", "short-means", "short-tp"],
+        ids=[
+            "non-string-name", "string-means", "non-list-fp", "unknown-key", "short-means", "short-tp",
+            "version-true", "version-float", "empty-curve", "empty-roc", "one-point-roc",
+        ],
     )
     def test_field_of_the_wrong_type_exits_2(self, edit, message, bio_report, tmp_path, capsys):
         # such a report used to exit 1 with a TypeError from the figure writer
